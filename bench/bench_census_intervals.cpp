@@ -35,7 +35,7 @@ int main() {
   const long long searches = bnf::ucg_nash_search_invocations() - searches_before;
 
   bnf::stopwatch curve_timer;
-  const bnf::poa_curve curve = bnf::build_poa_curve(n);
+  const bnf::poa_curve_summary curve = bnf::stream_poa_curve(n);
   const double curve_s = curve_timer.seconds();
 
   std::printf("{\n");

@@ -1,8 +1,8 @@
 // perf-smoke: the pinned fast workloads behind the CI perf-regression
-// gate. Two workloads cover the two census pipelines end to end in a few
-// seconds: the streaming breakpoint engine at n=7 (853 topologies through
-// the orderly generator, profile arena, breakpoint merge and reduce) and
-// the materialized census sweep at n=7. Results go through bench/harness
+// gate. Two workloads cover both callers of the census kernel end to end
+// in a few seconds: the streaming breakpoint engine at n=7 (853
+// topologies through the orderly generator, profile arena, breakpoint
+// merge and reduce) and the grid census sweep at n=7. Results go through bench/harness
 // into the common bench JSON schema; tools/perf/check_regression compares
 // the output against tools/perf/baseline_perf_smoke.json and fails CI on
 // a wall-time regression beyond tolerance or ANY drift in the pinned

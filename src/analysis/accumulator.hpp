@@ -1,10 +1,9 @@
-// The one equilibrium-set aggregator shared by every census-style sweep:
-// the grid census (census_sweep), the materialized curve evaluator
-// (evaluate_poa_curve), and the sharded streaming breakpoint engine
-// (stream_poa_curve) all fold their per-topology contributions through
-// this type, so the three pipelines can never drift — including the
-// count == 0 edge cases, where averages and the price of stability report
-// as 0 while max_poa stays at its empty default.
+// The one equilibrium-set aggregator of the census kernel
+// (analysis/census_kernel.hpp): the grid census (census_sweep) and the
+// breakpoint engine (stream_poa_curve) fold every per-topology
+// contribution through this type, including the count == 0 edge cases,
+// where averages and the price of stability report as 0 while max_poa
+// stays at its empty default.
 //
 // Exactness/determinism contract: link counts and distance totals are
 // summed as INTEGERS and the PoA extremes tracked with min/max (which are

@@ -1,20 +1,11 @@
 #include "analysis/census.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
-#include "analysis/topology_profile.hpp"
-#include "equilibria/ucg_nash.hpp"
-#include "game/connection_game.hpp"
-#include "game/efficiency.hpp"
+#include "analysis/census_kernel.hpp"
 #include "gen/enumerate.hpp"
-#include "graph/paths.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/contracts.hpp"
-#include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bnf {
 
@@ -27,163 +18,36 @@ std::vector<census_point> census_sweep(int n, std::span<const double> taus,
     expects(tau > 0, "census_sweep: total edge costs must be positive");
   }
 
-  // Stream the orderly generator shard by shard — nothing materialized,
-  // profiling overlaps generation.
-  constexpr std::size_t shard_count = 128;
-  const enumeration_plan plan(
-      n, shard_count, {.connected_only = true, .threads = options.threads});
-
-  // Precompute the optimal social cost per grid point and game, plus the
-  // exact rational value of each grid alpha (membership tests below are
-  // then cheap exact cross-multiplications instead of per-test double
-  // decompositions).
-  const std::size_t grid = taus.size();
-  std::vector<double> opt_bcg(grid);
-  std::vector<double> opt_ucg(grid);
-  std::vector<rational> alpha_bcg_exact(grid);
-  std::vector<rational> alpha_ucg_exact(grid);
-  for (std::size_t t = 0; t < grid; ++t) {
-    opt_bcg[t] = optimal_social_cost(
-        connection_game{n, taus[t] / 2.0, link_rule::bilateral});
-    opt_ucg[t] = optimal_social_cost(
-        connection_game{n, taus[t], link_rule::unilateral});
-    alpha_bcg_exact[t] = exact_rational(taus[t] / 2.0);
-    alpha_ucg_exact[t] = exact_rational(taus[t]);
+  // The kernel wants strictly increasing probes: sort and deduplicate the
+  // caller's grid, keeping its own doubles and their exact values.
+  std::vector<double> sorted(taus.begin(), taus.end());
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  row_grid grid;
+  for (const double tau : sorted) {
+    grid.add_row(n, exact_rational(tau), exact_rational(tau / 2.0),
+                 tau / 2.0, tau);
   }
+
   // The sweep only ever queries the UCG region at the grid points, so the
-  // region search can be clamped to the grid's hull: topologies whose
-  // Nash window misses the grid entirely cost one root-window test.
-  alpha_interval ucg_clamp = alpha_interval::empty_interval();
-  if (grid > 0) {
-    ucg_clamp = {*std::min_element(alpha_ucg_exact.begin(),
-                                   alpha_ucg_exact.end()),
-                 *std::max_element(alpha_ucg_exact.begin(),
-                                   alpha_ucg_exact.end()),
-                 true, true};
-  }
+  // region search is clamped to the grid's hull: topologies whose Nash
+  // window misses the grid entirely cost one root-window test.
+  census_pass pass;
+  pass.include_ucg = options.include_ucg;
+  pass.ucg_clamp = grid.size() > 0
+                       ? alpha_interval{grid.tau.front(), grid.tau.back(),
+                                        true, true}
+                       : alpha_interval::empty_interval();
+  const std::vector<census_point> rows =
+      census_kernel(n, options.threads, 1).run(grid, pass);
 
-  // Sharding is FIXED (independent of the thread count) and the exact
-  // accumulator is associative, so every downstream table and JSONL byte
-  // is identical whether the sweep runs on 1 thread or 64.
-  std::vector<std::vector<equilibrium_accumulator>> bcg_shard(
-      shard_count, std::vector<equilibrium_accumulator>(grid));
-  std::vector<std::vector<equilibrium_accumulator>> ucg_shard(
-      shard_count, std::vector<equilibrium_accumulator>(grid));
-
-  // Telemetry: registry references resolved once; each shard flushes one
-  // counter add and one histogram record, so the per-topology path stays
-  // untouched.
-  obs::counter& shards_done = obs::get_counter(obs::names::shards_done);
-  obs::counter& topologies_profiled =
-      obs::get_counter(obs::names::topologies_profiled);
-  obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_ms);
-  obs::histogram& shard_sizes =
-      obs::get_histogram(obs::names::shard_topologies);
-  obs::get_counter(obs::names::shards_planned).add(shard_count);
-
-  const int threads =
-      options.threads > 0 ? options.threads : default_thread_count();
-  parallel_for_chunks(shard_count, threads, [&](std::size_t shard_begin,
-                                                std::size_t shard_end) {
-    // One region-search arena per worker chunk: every topology in these
-    // shards reuses the same DFS scratch (ROADMAP micro-opt).
-    ucg_region_workspace scratch;
-    for (std::size_t shard = shard_begin; shard < shard_end; ++shard) {
-      obs::trace_span span("census.shard");
-      span.arg("shard", shard);
-      stopwatch shard_timer;
-      auto& bcg_local = bcg_shard[shard];
-      auto& ucg_local = ucg_shard[shard];
-      const std::uint64_t shard_topology_count =
-          plan.for_each_key(shard, [&](std::uint64_t key) {
-        const graph g = graph::from_key64(n, key);
-        // ONE stability analysis per topology; the grid loop below is
-        // pure exact interval membership, so the sweep's cost does not
-        // depend on how fine the tau grid is.
-        const topology_profile profile =
-            profile_topology(g, options.include_ucg, ucg_clamp, scratch);
-
-        for (std::size_t t = 0; t < grid; ++t) {
-          if (profile.bcg_interval.contains(alpha_bcg_exact[t])) {
-            const double alpha_bcg = taus[t] / 2.0;
-            const double social = 2.0 * alpha_bcg * profile.edges +
-                                  static_cast<double>(profile.distance_total);
-            bcg_local[t].add(social / opt_bcg[t], profile.edges,
-                             profile.distance_total);
-          }
-          if (options.include_ucg) {
-            if (profile.ucg.contains(alpha_ucg_exact[t])) {
-              const double alpha_ucg = taus[t];
-              const double social =
-                  alpha_ucg * profile.edges +
-                  static_cast<double>(profile.distance_total);
-              ucg_local[t].add(social / opt_ucg[t], profile.edges,
-                               profile.distance_total);
-            }
-          }
-        }
-      });
-      span.arg("topologies", shard_topology_count);
-      shards_done.add(1);
-      topologies_profiled.add(shard_topology_count);
-      shard_wall.record(
-          static_cast<std::uint64_t>(shard_timer.seconds() * 1000.0));
-      shard_sizes.record(shard_topology_count);
-    }
-  });
-
-  std::vector<equilibrium_accumulator> bcg_total(grid);
-  std::vector<equilibrium_accumulator> ucg_total(grid);
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    for (std::size_t t = 0; t < grid; ++t) {
-      bcg_total[t].merge(bcg_shard[shard][t]);
-      ucg_total[t].merge(ucg_shard[shard][t]);
-    }
-  }
-
-  std::vector<census_point> points(grid);
-  for (std::size_t t = 0; t < grid; ++t) {
-    points[t].tau = taus[t];
-    points[t].alpha_bcg = taus[t] / 2.0;
-    points[t].alpha_ucg = taus[t];
-    points[t].bcg = bcg_total[t].stats(taus[t], opt_bcg[t]);
-    points[t].ucg = ucg_total[t].stats(taus[t], opt_ucg[t]);
+  std::vector<census_point> points;
+  points.reserve(taus.size());
+  for (const double tau : taus) {
+    points.push_back(rows[static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), tau) - sorted.begin())]);
   }
   return points;
-}
-
-std::vector<census_graph_record> build_census_records(
-    int n, const census_options& options) {
-  expects(n >= 2 && n <= 8,
-          "build_census_records: materialized records guard n <= 8 (use "
-          "stream_poa_curve beyond)");
-  const auto keys = all_graph_keys(n, {.connected_only = true,
-                                       .threads = options.threads});
-  std::vector<census_graph_record> records(keys.size());
-
-  const int threads =
-      options.threads > 0 ? options.threads : default_thread_count();
-  parallel_for_chunks(keys.size(), threads,
-                      [&](std::size_t begin, std::size_t end) {
-                        ucg_region_workspace scratch;
-                        for (std::size_t i = begin; i < end; ++i) {
-                          const graph g = graph::from_key64(n, keys[i]);
-                          // Records keep the FULL region (no clamp): they
-                          // back the breakpoint enumerator, which needs
-                          // every threshold.
-                          topology_profile profile = profile_topology(
-                              g, options.include_ucg, alpha_interval{},
-                              scratch);
-                          records[i] = census_graph_record{
-                              keys[i],
-                              profile.edges,
-                              profile.distance_total,
-                              profile.bcg,
-                              profile.bcg_interval,
-                              std::move(profile.ucg)};
-                        }
-                      });
-  return records;
 }
 
 }  // namespace bnf

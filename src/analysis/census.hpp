@@ -16,17 +16,15 @@
 // ucg_nash_alpha_region for the UCG — and every grid point becomes a pure
 // interval-membership lookup: the sweep's cost is independent of the grid
 // resolution and no per-grid-point Nash search (and no epsilon slack)
-// is involved. analysis/poa_curve.hpp builds on the same records to
-// replace the grid entirely with exact breakpoints.
+// is involved. The sweep is one pass of the census kernel
+// (analysis/census_kernel.hpp) on the caller's grid; analysis/poa_curve.hpp
+// runs the same kernel on exact breakpoints instead of a grid.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "analysis/accumulator.hpp"
-#include "equilibria/alpha_interval.hpp"
-#include "equilibria/pairwise_stability.hpp"
-#include "graph/graph.hpp"
 
 namespace bnf {
 
@@ -44,36 +42,13 @@ struct census_options {
   int threads{0};  // 0 = hardware concurrency
 };
 
-/// Run the full census at every total-edge-cost in `taus`.
-/// Requires 2 <= n <= max_enumeration_order (n=8 takes seconds; n=10,
-/// the paper's setting,
-/// takes minutes and ~1 GB as it walks 11.7M topologies). Performs one
-/// exact stability analysis per topology; `ucg_nash_search_invocations`
-/// does not advance (the tests pin this).
+/// Run the full census at every total-edge-cost in `taus`; points[i]
+/// describes taus[i], whatever the order of `taus` and however often a
+/// value repeats. Requires 2 <= n <= max_enumeration_order (n=8 takes
+/// seconds; n=10, the paper's setting, walks 11.7M topologies). Performs
+/// one exact stability analysis per topology;
+/// `ucg_nash_search_invocations` does not advance (the tests pin this).
 [[nodiscard]] std::vector<census_point> census_sweep(
     int n, std::span<const double> taus, const census_options& options = {});
-
-/// Per-topology census record for small n (<= 8): everything needed to
-/// re-derive both games' equilibrium sets at ANY link cost — grid point
-/// or exact rational breakpoint — without touching the graph again.
-/// Larger n (up to 10, the paper's setting) goes through the streaming
-/// engine in analysis/poa_curve.hpp, which aggregates the same profiles
-/// without materializing per-topology records.
-struct census_graph_record {
-  std::uint64_t key{0};  // canonical key (order implied by the census)
-  int edges{0};
-  long long distance_total{0};  // sum over ordered pairs
-  stability_record bcg;         // exact pairwise-stability predicate
-  /// Exact interval form of `bcg` (alpha_BCG units; identical decisions).
-  alpha_interval bcg_interval;
-  /// Exact UCG Nash region (alpha_UCG units) from the parametric
-  /// orientation search. Empty when include_ucg was false.
-  alpha_interval_set ucg;
-};
-
-/// Materialized per-topology records, sorted by canonical key. The UCG
-/// region is computed unless options.include_ucg is false.
-[[nodiscard]] std::vector<census_graph_record> build_census_records(
-    int n, const census_options& options = {});
 
 }  // namespace bnf

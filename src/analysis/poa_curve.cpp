@@ -1,59 +1,19 @@
 #include "analysis/poa_curve.hpp"
 
 #include <algorithm>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "analysis/topology_profile.hpp"
-#include "game/connection_game.hpp"
-#include "game/efficiency.hpp"
+#include "analysis/census_kernel.hpp"
 #include "gen/enumerate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contracts.hpp"
-#include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bnf {
 
 namespace {
-
-// Membership is exact (rational or exact-double comparisons); only the
-// aggregated statistics are evaluated in floating point, through the one
-// shared accumulator the census sweep and the streaming engine also use.
-template <typename Alpha>
-census_point evaluate_at(const poa_curve& curve, const Alpha& alpha_bcg,
-                         const Alpha& alpha_ucg, double alpha_bcg_value,
-                         double alpha_ucg_value) {
-  census_point point;
-  point.tau = alpha_ucg_value;
-  point.alpha_bcg = alpha_bcg_value;
-  point.alpha_ucg = alpha_ucg_value;
-  const double opt_bcg = optimal_social_cost(
-      connection_game{curve.n, alpha_bcg_value, link_rule::bilateral});
-  const double opt_ucg = optimal_social_cost(
-      connection_game{curve.n, alpha_ucg_value, link_rule::unilateral});
-  const double bcg_edge_cost = 2.0 * alpha_bcg_value;
-  equilibrium_accumulator bcg;
-  equilibrium_accumulator ucg;
-  for (const census_graph_record& record : curve.records) {
-    if (record.bcg_interval.contains(alpha_bcg)) {
-      const double social = bcg_edge_cost * record.edges +
-                            static_cast<double>(record.distance_total);
-      bcg.add(social / opt_bcg, record.edges, record.distance_total);
-    }
-    if (record.ucg.contains(alpha_ucg)) {
-      const double social = alpha_ucg_value * record.edges +
-                            static_cast<double>(record.distance_total);
-      ucg.add(social / opt_ucg, record.edges, record.distance_total);
-    }
-  }
-  point.bcg = bcg.stats(bcg_edge_cost, opt_bcg);
-  point.ucg = ucg.stats(alpha_ucg_value, opt_ucg);
-  return point;
-}
 
 void note_breakpoint(std::vector<poa_breakpoint>& breakpoints,
                      const rational& tau, bool from_bcg) {
@@ -68,9 +28,7 @@ rational doubled(const rational& alpha) {
   return rational::make(checked_mul(2, alpha.num), alpha.den);
 }
 
-/// Both pipelines collect thresholds through this one helper, so the
-/// breakpoint set of the streaming engine is definitionally the set the
-/// record path produces.
+/// Note both games' interval endpoints of one profile.
 void note_profile_breakpoints(std::vector<poa_breakpoint>& raw,
                               const alpha_interval& bcg_interval,
                               const alpha_interval_set& ucg) {
@@ -104,9 +62,7 @@ std::vector<poa_breakpoint> merge_breakpoints(std::vector<poa_breakpoint> raw) {
   return merged;
 }
 
-/// Interior probe of segment `segment` over a sorted breakpoint list (the
-/// shared definition behind poa_curve_segment_probe and the streaming
-/// engine's row grid).
+/// Interior probe of segment `segment` over a sorted breakpoint list.
 rational segment_probe(const std::vector<poa_breakpoint>& breakpoints,
                        std::size_t segment) {
   if (breakpoints.empty()) return rational::from_int(1);
@@ -120,62 +76,6 @@ rational segment_probe(const std::vector<poa_breakpoint>& breakpoints,
   }
   return midpoint(left, breakpoints[segment].tau);
 }
-
-}  // namespace
-
-poa_curve build_poa_curve(int n, const census_options& options) {
-  poa_curve curve;
-  curve.n = n;
-  curve.records = build_census_records(n, options);
-
-  std::vector<poa_breakpoint> raw;
-  for (const census_graph_record& record : curve.records) {
-    note_profile_breakpoints(raw, record.bcg_interval, record.ucg);
-  }
-  curve.breakpoints = merge_breakpoints(std::move(raw));
-  return curve;
-}
-
-census_point evaluate_poa_curve(const poa_curve& curve, double tau) {
-  expects(tau > 0, "evaluate_poa_curve: requires tau > 0");
-  return evaluate_at(curve, tau / 2.0, tau, tau / 2.0, tau);
-}
-
-census_point evaluate_poa_curve(const poa_curve& curve, const rational& tau) {
-  expects(!tau.is_infinite() && tau.num > 0,
-          "evaluate_poa_curve: requires finite tau > 0");
-  const rational alpha_bcg =
-      rational::make(tau.num, checked_mul(2, tau.den));
-  return evaluate_at(curve, alpha_bcg, tau, alpha_bcg.to_double(),
-                     tau.to_double());
-}
-
-rational poa_curve_segment_probe(const poa_curve& curve, std::size_t segment) {
-  expects(segment <= curve.breakpoints.size(),
-          "poa_curve_segment_probe: segment out of range");
-  return segment_probe(curve.breakpoints, segment);
-}
-
-poa_curve_summary summarize_poa_curve(const poa_curve& curve) {
-  poa_curve_summary summary;
-  summary.n = curve.n;
-  summary.topologies = curve.records.size();
-  summary.breakpoints = curve.breakpoints;
-  summary.rows.reserve(2 * curve.breakpoints.size() + 1);
-  for (std::size_t s = 0; s <= curve.breakpoints.size(); ++s) {
-    const rational probe = segment_probe(curve.breakpoints, s);
-    summary.rows.push_back({probe, false, evaluate_poa_curve(curve, probe)});
-    if (s < curve.breakpoints.size()) {
-      const rational& tau = curve.breakpoints[s].tau;
-      summary.rows.push_back({tau, true, evaluate_poa_curve(curve, tau)});
-    }
-  }
-  return summary;
-}
-
-// --- the streaming engine -------------------------------------------------
-
-namespace {
 
 // Flat-arena profile record: both games' exact certificates plus the
 // social-cost integers, packed into 16 bytes. Bounds are generous for
@@ -284,108 +184,12 @@ alpha_interval unpack_ucg(const packed_profile& packed) {
   return part;
 }
 
-/// The evaluation grid shared by every row: exact alphas for membership,
-/// plus the double-precision evaluation constants (identical to the ones
-/// evaluate_poa_curve derives, so the two pipelines agree to the bit).
-struct row_grid {
-  std::vector<rational> tau;        // == alpha_UCG, strictly increasing
-  std::vector<rational> alpha_bcg;  // tau / 2, exact
-  std::vector<bool> on_breakpoint;
-  std::vector<double> bcg_edge_cost;  // 2 * alpha_bcg_value == tau value
-  std::vector<double> ucg_edge_cost;  // alpha_UCG value
-  std::vector<double> opt_bcg;
-  std::vector<double> opt_ucg;
-
-  [[nodiscard]] std::size_t size() const { return tau.size(); }
-
-  void add_row(int n, const rational& tau_exact, bool breakpoint_row) {
-    const rational alpha = rational::make(
-        tau_exact.num, checked_mul(2, tau_exact.den));
-    const double alpha_bcg_value = alpha.to_double();
-    const double alpha_ucg_value = tau_exact.to_double();
-    tau.push_back(tau_exact);
-    alpha_bcg.push_back(alpha);
-    on_breakpoint.push_back(breakpoint_row);
-    bcg_edge_cost.push_back(2.0 * alpha_bcg_value);
-    ucg_edge_cost.push_back(alpha_ucg_value);
-    opt_bcg.push_back(optimal_social_cost(
-        connection_game{n, alpha_bcg_value, link_rule::bilateral}));
-    opt_ucg.push_back(optimal_social_cost(
-        connection_game{n, alpha_ucg_value, link_rule::unilateral}));
-  }
-};
-
-/// First row whose alpha lies inside the lower boundary (alphas strictly
-/// increasing; exact comparisons, mirroring alpha_interval::contains).
-std::size_t range_begin(std::span<const rational> alphas, const rational& lo,
-                        bool lo_closed) {
-  const auto it = std::partition_point(
-      alphas.begin(), alphas.end(), [&](const rational& alpha) {
-        const int cmp = compare(alpha, lo);
-        return cmp < 0 || (cmp == 0 && !lo_closed);
-      });
-  return static_cast<std::size_t>(it - alphas.begin());
-}
-
-/// One past the last row inside the upper boundary.
-std::size_t range_end(std::span<const rational> alphas, const rational& hi,
-                      bool hi_closed) {
-  if (hi.is_infinite()) return alphas.size();
-  const auto it = std::partition_point(
-      alphas.begin(), alphas.end(), [&](const rational& alpha) {
-        const int cmp = compare(alpha, hi);
-        return cmp < 0 || (cmp == 0 && hi_closed);
-      });
-  return static_cast<std::size_t>(it - alphas.begin());
-}
-
-/// Fold one topology into the per-row accumulators of its shard: a binary
-/// search finds the contiguous row range each certificate covers, then
-/// each covered row receives the topology's PoA at that row's exact
-/// evaluation point.
-void accumulate_topology(const row_grid& grid,
-                         const alpha_interval& bcg_interval,
-                         const alpha_interval_set& ucg, int edges,
-                         long long distance_total,
-                         std::vector<equilibrium_accumulator>& bcg_acc,
-                         std::vector<equilibrium_accumulator>& ucg_acc) {
-  const double dist = static_cast<double>(distance_total);
-  if (!bcg_interval.empty()) {
-    const std::size_t begin = range_begin(grid.alpha_bcg, bcg_interval.lo,
-                                          bcg_interval.lo_closed);
-    const std::size_t end =
-        range_end(grid.alpha_bcg, bcg_interval.hi, bcg_interval.hi_closed);
-    for (std::size_t r = begin; r < end; ++r) {
-      const double social = grid.bcg_edge_cost[r] * edges + dist;
-      bcg_acc[r].add(social / grid.opt_bcg[r], edges, distance_total);
-    }
-  }
-  for (const alpha_interval& part : ucg.parts()) {
-    const std::size_t begin = range_begin(grid.tau, part.lo, part.lo_closed);
-    const std::size_t end = range_end(grid.tau, part.hi, part.hi_closed);
-    for (std::size_t r = begin; r < end; ++r) {
-      const double social = grid.ucg_edge_cost[r] * edges + dist;
-      ucg_acc[r].add(social / grid.opt_ucg[r], edges, distance_total);
-    }
-  }
-}
-
 }  // namespace
 
 poa_curve_summary stream_poa_curve(int n, const poa_stream_options& options) {
   expects(n >= 2 && n <= max_enumeration_order,
           "stream_poa_curve: requires 2 <= n <= " +
               std::to_string(max_enumeration_order));
-
-  // The orderly generator replaces the materialized key vector: each of
-  // the engine's fixed 128 shards streams its own classes straight out of
-  // canonical augmentation, so pass 1 overlaps generation with profiling
-  // and the enumeration phase disappears as a separate cost.
-  const int threads =
-      options.threads > 0 ? options.threads : default_thread_count();
-  constexpr std::size_t shard_count = 128;
-  const enumeration_plan plan(
-      n, shard_count, {.connected_only = true, .threads = options.threads});
 
   // The census size is known exactly up front (OEIS A001349, verified by
   // an ensures below), so the cache-vs-two-pass decision needs no
@@ -395,6 +199,8 @@ poa_curve_summary stream_poa_curve(int n, const poa_stream_options& options) {
   const std::size_t cache_bytes =
       static_cast<std::size_t>(expected) * sizeof(packed_profile);
   const bool cache_profiles = cache_bytes <= options.memory_budget;
+  const census_kernel kernel(n, options.threads, 2);
+  constexpr std::size_t shard_count = census_kernel::shard_count;
 
   poa_curve_summary summary;
   summary.n = n;
@@ -410,72 +216,43 @@ poa_curve_summary stream_poa_curve(int n, const poa_stream_options& options) {
       shard_count);
   std::vector<std::vector<poa_breakpoint>> threshold_shard(shard_count);
   std::vector<std::uint64_t> count_shard(shard_count, 0);
-
-  // Telemetry: resolve the registry references once, outside the hot
-  // loops — counter updates inside the shard bodies are then single
-  // relaxed atomic adds, flushed at per-shard granularity.
-  obs::counter& shards_planned = obs::get_counter(obs::names::shards_planned);
-  obs::counter& shards_done = obs::get_counter(obs::names::shards_done);
-  obs::counter& topologies_profiled =
-      obs::get_counter(obs::names::topologies_profiled);
   obs::counter& arena_bytes = obs::get_counter(obs::names::profile_arena_bytes);
   obs::counter& profile_spills = obs::get_counter(obs::names::profile_spills);
   obs::counter& spill_hits = obs::get_counter(obs::names::spill_hits);
-  obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_ms);
-  obs::histogram& shard_sizes =
-      obs::get_histogram(obs::names::shard_topologies);
-  shards_planned.add(2 * shard_count);  // both passes walk every shard
 
-  parallel_for_chunks(
-      shard_count, threads, [&](std::size_t shard_begin,
-                                std::size_t shard_end) {
-        // Per-thread scratch arenas: one region-search workspace for every
-        // topology this worker profiles.
-        ucg_region_workspace scratch;
-        for (std::size_t shard = shard_begin; shard < shard_end; ++shard) {
-          obs::trace_span span("poa.pass1.shard");
-          span.arg("shard", shard);
-          stopwatch shard_timer;
-          auto& thresholds = threshold_shard[shard];
-          if (cache_profiles) {
-            arena[shard].reserve(
-                static_cast<std::size_t>(expected / shard_count + 64));
-          }
-          count_shard[shard] = plan.for_each_key(shard, [&](std::uint64_t
-                                                                key) {
-            const graph g = graph::from_key64(n, key);
-            // Full region, no clamp: the breakpoint list needs every
-            // threshold.
-            topology_profile profile = profile_topology(
-                g, options.include_ucg, alpha_interval{}, scratch);
-            note_profile_breakpoints(thresholds, profile.bcg_interval,
-                                     profile.ucg);
-            if (cache_profiles) {
-              packed_profile packed;
-              if (!pack_profile(profile, packed)) {
-                packed.flags = flag_spill;
-                spill_shard[shard].emplace(
-                    arena[shard].size(),
-                    spilled_profile{profile.edges, profile.distance_total,
-                                    profile.bcg_interval,
-                                    std::move(profile.ucg)});
-              }
-              arena[shard].push_back(packed);
-            }
-          });
-          thresholds = merge_breakpoints(std::move(thresholds));
-          span.arg("topologies", count_shard[shard]);
-          shards_done.add(1);
-          topologies_profiled.add(count_shard[shard]);
-          if (cache_profiles) {
-            arena_bytes.add(arena[shard].size() * sizeof(packed_profile));
-            profile_spills.add(spill_shard[shard].size());
-          }
-          shard_wall.record(static_cast<std::uint64_t>(
-              shard_timer.seconds() * 1000.0));
-          shard_sizes.record(count_shard[shard]);
-        }
-      });
+  census_pass pass1;
+  pass1.shard_span = "poa.pass1.shard";
+  pass1.include_ucg = options.include_ucg;
+  pass1.on_profile = [&](std::size_t shard, const topology_profile& profile) {
+    note_profile_breakpoints(threshold_shard[shard], profile.bcg_interval,
+                             profile.ucg);
+    if (!cache_profiles) return;
+    // Reserved by the worker that fills it: reserving every shard up front
+    // on the calling thread measurably raised multi-threaded peak RSS.
+    if (arena[shard].capacity() == 0) {
+      arena[shard].reserve(
+          static_cast<std::size_t>(expected / shard_count + 64));
+    }
+    packed_profile packed;
+    if (!pack_profile(profile, packed)) {
+      packed.flags = flag_spill;
+      spill_shard[shard].emplace(
+          arena[shard].size(),
+          spilled_profile{profile.edges, profile.distance_total,
+                          profile.bcg_interval, profile.ucg});
+    }
+    arena[shard].push_back(packed);
+  };
+  pass1.on_shard_end = [&](std::size_t shard, std::uint64_t topologies) {
+    auto& thresholds = threshold_shard[shard];
+    thresholds = merge_breakpoints(std::move(thresholds));
+    count_shard[shard] = topologies;
+    if (cache_profiles) {
+      arena_bytes.add(arena[shard].size() * sizeof(packed_profile));
+      profile_spills.add(spill_shard[shard].size());
+    }
+  };
+  (void)kernel.run(row_grid{}, pass1);
 
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
     summary.topologies += count_shard[shard];
@@ -486,8 +263,7 @@ poa_curve_summary stream_poa_curve(int n, const poa_stream_options& options) {
 
   // Merge the per-shard threshold sets in fixed shard order. The merged
   // list depends only on the union of the sets, so it is identical across
-  // thread counts — and identical to the record path's list, which notes
-  // the same thresholds from the same profiles.
+  // thread counts.
   {
     obs::trace_span merge_span("poa.merge_breakpoints");
     std::vector<poa_breakpoint> all_thresholds;
@@ -510,97 +286,54 @@ poa_curve_summary stream_poa_curve(int n, const poa_stream_options& options) {
   // --- the evaluation grid: one row per segment probe and per breakpoint,
   // in increasing tau order.
   row_grid grid;
+  const auto add_row = [&](const rational& tau) {
+    const rational alpha = rational::make(tau.num, checked_mul(2, tau.den));
+    grid.add_row(n, tau, alpha, alpha.to_double(), tau.to_double());
+  };
   for (std::size_t s = 0; s <= summary.breakpoints.size(); ++s) {
-    grid.add_row(n, segment_probe(summary.breakpoints, s), false);
-    if (s < summary.breakpoints.size()) {
-      grid.add_row(n, summary.breakpoints[s].tau, true);
-    }
+    add_row(segment_probe(summary.breakpoints, s));
+    if (s < summary.breakpoints.size()) add_row(summary.breakpoints[s].tau);
   }
 
   // --- pass 2: accumulate per-row statistics, either straight from the
-  // profile cache or by re-streaming (re-profiling) the topologies.
-  std::vector<std::vector<equilibrium_accumulator>> bcg_shard(
-      shard_count, std::vector<equilibrium_accumulator>(grid.size()));
-  std::vector<std::vector<equilibrium_accumulator>> ucg_shard(
-      shard_count, std::vector<equilibrium_accumulator>(grid.size()));
-
-  parallel_for_chunks(
-      shard_count, threads, [&](std::size_t shard_begin,
-                                std::size_t shard_end) {
-        ucg_region_workspace scratch;
-        alpha_interval_set unpacked_ucg;  // reused across topologies
-        for (std::size_t shard = shard_begin; shard < shard_end; ++shard) {
-          obs::trace_span span("poa.pass2.shard");
-          span.arg("shard", shard);
-          stopwatch shard_timer;
-          std::uint64_t shard_spill_hits = 0;
-          auto& bcg_acc = bcg_shard[shard];
-          auto& ucg_acc = ucg_shard[shard];
-          if (cache_profiles) {
-            // Replay the shard's arena in generation order; spilled entries
-            // are keyed by their local arena index.
-            const auto& shard_arena = arena[shard];
-            const auto& shard_spill = spill_shard[shard];
-            for (std::size_t i = 0; i < shard_arena.size(); ++i) {
-              const packed_profile& packed = shard_arena[i];
-              if ((packed.flags & flag_spill) != 0) {
-                const spilled_profile& full = shard_spill.at(i);
-                ++shard_spill_hits;
-                accumulate_topology(grid, full.bcg_interval, full.ucg,
-                                    full.edges, full.distance_total, bcg_acc,
-                                    ucg_acc);
-                continue;
-              }
-              unpacked_ucg.clear();
-              if ((packed.flags & flag_ucg_empty) == 0) {
-                unpacked_ucg.add(unpack_ucg(packed));
-              }
-              accumulate_topology(grid, unpack_bcg(packed), unpacked_ucg,
-                                  packed.edges, packed.distance_total, bcg_acc,
-                                  ucg_acc);
-            }
-          } else {
-            // Two-pass mode: re-stream the generator — regeneration plus
-            // re-profiling trades time for the arena's memory.
-            plan.for_each_key(shard, [&](std::uint64_t key) {
-              const graph g = graph::from_key64(n, key);
-              const topology_profile profile = profile_topology(
-                  g, options.include_ucg, alpha_interval{}, scratch);
-              accumulate_topology(grid, profile.bcg_interval, profile.ucg,
-                                  profile.edges, profile.distance_total,
-                                  bcg_acc, ucg_acc);
-            });
-          }
-          shards_done.add(1);
-          if (shard_spill_hits > 0) spill_hits.add(shard_spill_hits);
-          shard_wall.record(static_cast<std::uint64_t>(
-              shard_timer.seconds() * 1000.0));
+  // profile cache or by re-walking (re-profiling) the topologies.
+  census_pass pass2;
+  pass2.shard_span = "poa.pass2.shard";
+  pass2.reduce_span = "poa.reduce";
+  pass2.include_ucg = options.include_ucg;
+  pass2.first_walk = false;
+  if (cache_profiles) {
+    // Replay the shard's arena in generation order; spilled entries are
+    // keyed by their local arena index.
+    pass2.replay = [&](std::size_t shard, shard_rows& rows) {
+      const auto& shard_arena = arena[shard];
+      const auto& shard_spill = spill_shard[shard];
+      alpha_interval_set unpacked_ucg;  // reused across the shard
+      std::uint64_t shard_spill_hits = 0;
+      for (std::size_t i = 0; i < shard_arena.size(); ++i) {
+        const packed_profile& packed = shard_arena[i];
+        if ((packed.flags & flag_spill) != 0) {
+          const spilled_profile& full = shard_spill.at(i);
+          ++shard_spill_hits;
+          rows.add(grid, full.bcg_interval, full.ucg, full.edges,
+                   full.distance_total);
+          continue;
         }
-      });
-
-  // Fixed-order shard merge; the accumulator is exactly associative, so
-  // this is byte-stable no matter how the shards were scheduled.
-  obs::trace_span reduce_span("poa.reduce");
-  std::vector<equilibrium_accumulator> bcg_total(grid.size());
-  std::vector<equilibrium_accumulator> ucg_total(grid.size());
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    for (std::size_t r = 0; r < grid.size(); ++r) {
-      bcg_total[r].merge(bcg_shard[shard][r]);
-      ucg_total[r].merge(ucg_shard[shard][r]);
-    }
+        unpacked_ucg.clear();
+        if ((packed.flags & flag_ucg_empty) == 0) {
+          unpacked_ucg.add(unpack_ucg(packed));
+        }
+        rows.add(grid, unpack_bcg(packed), unpacked_ucg, packed.edges,
+                 packed.distance_total);
+      }
+      if (shard_spill_hits > 0) spill_hits.add(shard_spill_hits);
+    };
   }
+  const std::vector<census_point> points = kernel.run(grid, pass2);
 
   summary.rows.reserve(grid.size());
   for (std::size_t r = 0; r < grid.size(); ++r) {
-    poa_curve_row row;
-    row.tau = grid.tau[r];
-    row.on_breakpoint = grid.on_breakpoint[r];
-    row.point.tau = grid.ucg_edge_cost[r];
-    row.point.alpha_bcg = grid.bcg_edge_cost[r] / 2.0;
-    row.point.alpha_ucg = grid.ucg_edge_cost[r];
-    row.point.bcg = bcg_total[r].stats(grid.bcg_edge_cost[r], grid.opt_bcg[r]);
-    row.point.ucg = ucg_total[r].stats(grid.ucg_edge_cost[r], grid.opt_ucg[r]);
-    summary.rows.push_back(std::move(row));
+    summary.rows.push_back({grid.tau[r], r % 2 == 1, points[r]});
   }
   return summary;
 }

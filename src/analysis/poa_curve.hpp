@@ -9,27 +9,19 @@
 // tau-dependence inside a piece is the smooth ratio
 // (alpha * links + dist) / opt(alpha), with no set changes).
 //
-// Two pipelines produce the same curves, byte for byte:
-//
-//   * build_poa_curve (n <= 8): materialize per-topology census records,
-//     then evaluate_poa_curve answers ANY tau from the cached intervals —
-//     the convenience path for interactive queries and small n.
-//   * stream_poa_curve (n up to max_enumeration_order; n = 10 is the
-//     paper's full 11.7M-topology setting): a sharded streaming engine
-//     that never materializes records — or even the key vector. Each of
-//     128 fixed shards streams its classes straight out of the orderly
-//     canonical-augmentation generator (gen/enumerate.hpp), so pass 1
-//     profiles each topology as it is generated (per-thread region-search
-//     arenas) and collects only the rational thresholds into per-shard
-//     sorted sets merged in fixed shard order; the per-segment and
-//     on-breakpoint
-//     statistics are then accumulated either from a compact flat-arena
-//     profile cache (when it fits options.memory_budget — profiles are
-//     nearly always single-interval, so they pack into 16 bytes inline
-//     with a rare spill table) or by re-streaming the topologies in a
-//     second profiling pass. Aggregation uses the exact integer
-//     accumulator of analysis/accumulator.hpp, so the output is identical
-//     across thread counts, memory budgets, and the two pipelines.
+// stream_poa_curve computes the curves for every n up to
+// max_enumeration_order (n = 10 is the paper's full 11.7M-topology
+// setting) in two passes of the census kernel (analysis/census_kernel.hpp),
+// which never materializes per-topology records or even the key vector.
+// Pass 1 profiles each topology as the orderly generator emits it and
+// collects only the rational thresholds into per-shard sorted sets, merged
+// in fixed shard order. Pass 2 evaluates one row per open segment and one
+// per breakpoint, either from a compact flat-arena profile cache (when it
+// fits options.memory_budget — profiles are nearly always single-interval,
+// so they pack into 16 bytes inline with a rare spill table) or by
+// re-walking the topologies. Aggregation uses the exact integer
+// accumulator of analysis/accumulator.hpp, so the output is identical
+// across thread counts and memory budgets.
 #pragma once
 
 #include <cstddef>
@@ -53,42 +45,6 @@ struct poa_breakpoint {
                          const poa_breakpoint&) = default;
 };
 
-/// The full census in exact piecewise form. Segment s (for s in
-/// 0..breakpoints.size()) is the open tau range between breakpoints s-1
-/// and s, with segment 0 starting at 0 and the last segment unbounded;
-/// breakpoints themselves are evaluated as points (the closed-boundary
-/// convention of alpha_interval.hpp decides their membership).
-struct poa_curve {
-  int n{0};
-  std::vector<census_graph_record> records;
-  std::vector<poa_breakpoint> breakpoints;  // sorted, distinct, finite, > 0
-};
-
-/// Enumerate the records (one exact stability analysis per topology) and
-/// merge their interval endpoints. Requires 2 <= n <= 8 (the record
-/// guard; stream_poa_curve covers every enumerable order); set
-/// options.include_ucg =
-/// false to get BCG-only curves.
-[[nodiscard]] poa_curve build_poa_curve(int n,
-                                        const census_options& options = {});
-
-/// Census evaluation at total edge cost tau from the cached intervals —
-/// equivalent to a census_sweep grid point, with zero stability
-/// re-analysis. The rational overload evaluates exactly ON breakpoints.
-[[nodiscard]] census_point evaluate_poa_curve(const poa_curve& curve,
-                                              double tau);
-[[nodiscard]] census_point evaluate_poa_curve(const poa_curve& curve,
-                                              const rational& tau);
-
-/// An exact rational probe strictly inside segment `segment` (see
-/// poa_curve for the numbering): midpoints between breakpoints, half the
-/// first breakpoint, or one past the last. Requires
-/// segment <= breakpoints.size().
-[[nodiscard]] rational poa_curve_segment_probe(const poa_curve& curve,
-                                               std::size_t segment);
-
-// --- the streaming engine -------------------------------------------------
-
 struct poa_stream_options {
   bool include_ucg{true};
   int threads{0};  // 0 = hardware concurrency
@@ -104,10 +60,14 @@ struct poa_stream_options {
   std::size_t memory_budget{std::size_t{1} << 29};
 };
 
-/// One evaluated row of the piecewise census: rows alternate open
-/// segments (evaluated at an exact interior probe — the same probes
-/// poa_curve_segment_probe yields) and breakpoints (evaluated exactly ON
-/// the threshold), in increasing tau order.
+/// One evaluated row of the piecewise census. Segment s (for s in
+/// 0..breakpoints.size()) is the open tau range between breakpoints s-1
+/// and s, with segment 0 starting at 0 and the last segment unbounded.
+/// Rows alternate open segments (evaluated at an exact interior probe:
+/// the midpoint between its breakpoints, half the first breakpoint, or
+/// one past the last) and breakpoints (evaluated exactly ON the threshold,
+/// where the closed-boundary convention of alpha_interval.hpp decides
+/// membership), in increasing tau order.
 struct poa_curve_row {
   rational tau;  // exact evaluation point
   bool on_breakpoint{false};
@@ -134,15 +94,9 @@ struct poa_curve_summary {
 };
 
 /// Run the sharded streaming breakpoint engine. Requires
-/// 2 <= n <= max_enumeration_order. Output is byte-identical to
-/// summarize_poa_curve(build_poa_curve(n)) wherever both are defined, and
-/// across thread counts and memory budgets.
+/// 2 <= n <= max_enumeration_order. Output is byte-identical across thread
+/// counts and memory budgets.
 [[nodiscard]] poa_curve_summary stream_poa_curve(
     int n, const poa_stream_options& options = {});
-
-/// Evaluate a materialized curve into the same summary form the streaming
-/// engine emits (records path; the equivalence tests and the n <= 8
-/// convenience callers use this).
-[[nodiscard]] poa_curve_summary summarize_poa_curve(const poa_curve& curve);
 
 }  // namespace bnf

@@ -94,15 +94,6 @@ text_table poa_breakpoints_table(const poa_curve_summary& curve) {
   return table;
 }
 
-text_table poa_breakpoints_table(const poa_curve& curve) {
-  // The breakpoints table reads only the breakpoint list — skip the
-  // row-evaluation work a full summarize_poa_curve would do.
-  poa_curve_summary breakpoints_only;
-  breakpoints_only.n = curve.n;
-  breakpoints_only.breakpoints = curve.breakpoints;
-  return poa_breakpoints_table(breakpoints_only);
-}
-
 text_table poa_curve_table(const poa_curve_summary& curve) {
   text_table table({"kind", "tau_lo", "tau_hi", "tau_eval", "#stable_BCG",
                     "avgPoA_BCG", "maxPoA_BCG", "PoS_BCG", "avgLinks_BCG",
@@ -141,10 +132,6 @@ text_table poa_curve_table(const poa_curve_summary& curve) {
                    stat_or_dash(point.ucg.count, point.ucg.avg_edges, 3)});
   }
   return table;
-}
-
-text_table poa_curve_table(const poa_curve& curve) {
-  return poa_curve_table(summarize_poa_curve(curve));
 }
 
 void write_csv_file(const text_table& table, const std::string& path) {

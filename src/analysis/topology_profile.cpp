@@ -1,5 +1,6 @@
 #include "analysis/topology_profile.hpp"
 
+#include "equilibria/pairwise_stability.hpp"
 #include "graph/paths.hpp"
 
 namespace bnf {
@@ -10,8 +11,7 @@ topology_profile profile_topology(const graph& g, bool include_ucg,
   topology_profile profile;
   profile.edges = g.size();
   profile.distance_total = total_distance(g).sum;
-  profile.bcg = compute_stability_record(g);
-  profile.bcg_interval = to_alpha_interval(profile.bcg);
+  profile.bcg_interval = to_alpha_interval(compute_stability_record(g));
   if (include_ucg) {
     profile.ucg = ucg_nash_alpha_region(g, ucg_clamp, scratch).region;
   }

@@ -1,12 +1,12 @@
-// The per-topology profiling core shared by the grid census, the
-// materialized record builder, and the streaming breakpoint engine:
-// ONE exact stability analysis per topology yields everything that is
-// alpha-independent about it — both games' equilibrium certificates plus
-// the integer ingredients of the social-cost line
+// The per-topology profiling core of the census kernel
+// (analysis/census_kernel.hpp), which the grid census and the breakpoint
+// engine both run: ONE exact stability analysis per topology yields
+// everything that is alpha-independent about it — both games' equilibrium
+// certificates plus the integer ingredients of the social-cost line
 // alpha * edges + distance_total.
 #pragma once
 
-#include "equilibria/pairwise_stability.hpp"
+#include "equilibria/alpha_interval.hpp"
 #include "equilibria/ucg_nash.hpp"
 #include "graph/graph.hpp"
 
@@ -15,8 +15,7 @@ namespace bnf {
 struct topology_profile {
   int edges{0};
   long long distance_total{0};  // sum over ordered pairs
-  stability_record bcg;         // exact pairwise-stability predicate
-  /// Exact interval form of `bcg` (alpha_BCG units; identical decisions).
+  /// Exact pairwise-stability interval (alpha_BCG units).
   alpha_interval bcg_interval;
   /// Exact UCG Nash region (alpha_UCG units). Empty when include_ucg was
   /// false.

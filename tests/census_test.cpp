@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/sweep.hpp"
+#include "analysis/topology_profile.hpp"
 #include "equilibria/pairwise_stability.hpp"
 #include "equilibria/ucg_nash.hpp"
 #include "game/efficiency.hpp"
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
+#include "graph/paths.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -96,45 +102,59 @@ TEST(CensusTest, SkippingUcgZeroesItsStats) {
   EXPECT_GT(points[0].bcg.count, 0);
 }
 
-TEST(CensusTest, RecordsMatchSweepCounts) {
-  const auto records = build_census_records(6);
-  EXPECT_EQ(records.size(), known_connected_graph_counts[6]);
+/// Every connected topology on n vertices with its full (unclamped)
+/// profile.
+std::vector<std::pair<graph, topology_profile>> profiles(int n) {
+  std::vector<std::pair<graph, topology_profile>> out;
+  ucg_region_workspace scratch;
+  for_each_graph(
+      n,
+      [&](const graph& g) {
+        out.emplace_back(g, profile_topology(g, true, alpha_interval{},
+                                             scratch));
+      },
+      {.connected_only = true});
+  return out;
+}
+
+TEST(CensusTest, ProfilesMatchSweepCounts) {
+  const auto all = profiles(6);
+  EXPECT_EQ(all.size(), known_connected_graph_counts[6]);
   const std::array<double, 2> taus{3.0, 12.0};
   const auto points = census_sweep(6, taus);
   for (std::size_t t = 0; t < taus.size(); ++t) {
-    long long from_records = 0;
-    for (const auto& record : records) {
-      if (record.bcg.stable_at(taus[t] / 2.0)) ++from_records;
+    const double alpha = taus[t] / 2.0;
+    long long from_profiles = 0;
+    for (const auto& [g, profile] : all) {
+      const bool stable = profile.bcg_interval.contains(alpha);
+      EXPECT_EQ(stable, is_pairwise_stable(g, alpha)) << to_string(g);
+      if (stable) ++from_profiles;
     }
-    EXPECT_EQ(points[t].bcg.count, from_records);
+    EXPECT_EQ(points[t].bcg.count, from_profiles);
   }
 }
 
-TEST(CensusTest, RecordsCarryExactInvariants) {
-  const auto records = build_census_records(5);
-  for (const auto& record : records) {
-    const graph g = graph::from_key64(5, record.key);
-    EXPECT_EQ(record.edges, g.size());
-    const auto direct = compute_stability_record(g);
-    EXPECT_DOUBLE_EQ(record.bcg.alpha_min, direct.alpha_min);
-    EXPECT_DOUBLE_EQ(record.bcg.alpha_max, direct.alpha_max);
-    EXPECT_EQ(record.bcg.boundary_stable, direct.boundary_stable);
+TEST(CensusTest, ProfilesCarryExactInvariants) {
+  for (const auto& [g, profile] : profiles(5)) {
+    EXPECT_EQ(profile.edges, g.size());
+    EXPECT_EQ(profile.distance_total, total_distance(g).sum);
+    EXPECT_EQ(profile.bcg_interval,
+              to_alpha_interval(compute_stability_record(g)))
+        << to_string(g);
   }
 }
 
-TEST(CensusTest, RecordsCarryBothGamesExactIntervals) {
-  const auto records = build_census_records(6);
-  for (const auto& record : records) {
-    const graph g = graph::from_key64(6, record.key);
-    // The BCG interval reproduces stable_at decisions at every probe.
+TEST(CensusTest, ProfilesCarryBothGamesExactIntervals) {
+  for (const auto& [g, profile] : profiles(6)) {
+    // The BCG interval reproduces the per-alpha stability check.
     for (const double alpha : {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 16.0}) {
-      EXPECT_EQ(record.bcg_interval.contains(alpha),
-                record.bcg.stable_at(alpha))
+      EXPECT_EQ(profile.bcg_interval.contains(alpha),
+                is_pairwise_stable(g, alpha))
           << to_string(g) << " alpha=" << alpha;
     }
-    // The UCG region matches the per-alpha search off the tie tolerance.
+    // The UCG region matches the per-alpha search.
     for (const double alpha : {0.4, 0.9, 1.3, 2.2, 4.7, 9.5}) {
-      EXPECT_EQ(record.ucg.contains(alpha), is_ucg_nash(g, alpha))
+      EXPECT_EQ(profile.ucg.contains(alpha), is_ucg_nash(g, alpha))
           << to_string(g) << " alpha=" << alpha;
     }
   }
@@ -179,14 +199,44 @@ TEST(CensusTest, DefaultGridCountsMatchBruteForceAfterEpsRemoval) {
   }
 }
 
+void expect_identical(const census_point& a, const census_point& b,
+                      const std::string& where) {
+  // EXPECT_EQ on doubles is bitwise-exact equality (no tolerance).
+  EXPECT_EQ(a.tau, b.tau) << where;
+  EXPECT_EQ(a.alpha_bcg, b.alpha_bcg) << where;
+  EXPECT_EQ(a.alpha_ucg, b.alpha_ucg) << where;
+  for (const auto& [x, y] : {std::pair{a.bcg, b.bcg}, std::pair{a.ucg, b.ucg}}) {
+    EXPECT_EQ(x.count, y.count) << where;
+    EXPECT_EQ(x.avg_poa, y.avg_poa) << where;
+    EXPECT_EQ(x.max_poa, y.max_poa) << where;
+    EXPECT_EQ(x.min_poa, y.min_poa) << where;
+    EXPECT_EQ(x.avg_edges, y.avg_edges) << where;
+  }
+}
+
 TEST(CensusTest, ThreadCountsAgree) {
-  const std::array<double, 2> taus{2.0, 8.0};
+  const std::array<double, 4> taus{1.0, 2.0, 3.5, 8.0};
   const auto seq = census_sweep(6, taus, {.include_ucg = true, .threads = 1});
   const auto par = census_sweep(6, taus, {.include_ucg = true, .threads = 4});
+  ASSERT_EQ(seq.size(), par.size());
   for (std::size_t t = 0; t < taus.size(); ++t) {
-    EXPECT_EQ(seq[t].bcg.count, par[t].bcg.count);
-    EXPECT_EQ(seq[t].ucg.count, par[t].ucg.count);
-    EXPECT_NEAR(seq[t].bcg.avg_poa, par[t].bcg.avg_poa, 1e-12);
+    expect_identical(seq[t], par[t], "tau=" + std::to_string(taus[t]));
+  }
+}
+
+TEST(CensusTest, SweepAnswersInTheCallersOrder) {
+  // The kernel sorts and deduplicates the probes; the caller still gets
+  // one point per tau, in its own order, duplicates included.
+  const std::array<double, 7> shuffled{8.0, 1.5, 24.0, 0.75, 3.0, 1.5, 5.25};
+  const std::array<double, 6> sorted{0.75, 1.5, 3.0, 5.25, 8.0, 24.0};
+  const auto from_shuffled = census_sweep(6, shuffled, {.include_ucg = true});
+  const auto from_sorted = census_sweep(6, sorted, {.include_ucg = true});
+  ASSERT_EQ(from_shuffled.size(), shuffled.size());
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    const auto at = std::find(sorted.begin(), sorted.end(), shuffled[i]);
+    ASSERT_NE(at, sorted.end());
+    expect_identical(from_shuffled[i], from_sorted[at - sorted.begin()],
+                     "position " + std::to_string(i));
   }
 }
 
@@ -197,7 +247,6 @@ TEST(CensusTest, Preconditions) {
                precondition_error);
   const std::array<double, 1> bad{-1.0};
   EXPECT_THROW((void)census_sweep(5, bad), precondition_error);
-  EXPECT_THROW((void)build_census_records(9), precondition_error);
 }
 
 }  // namespace

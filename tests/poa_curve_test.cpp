@@ -1,7 +1,7 @@
-// The breakpoint enumerator: exactness of the piecewise census. Between
-// consecutive breakpoints the equilibrium sets must be constant, every
-// grid evaluation must match the census sweep, and the n=5 breakpoint
-// list is pinned as a golden value (the CI job diffs the same list from
+// Exactness of the piecewise census: between consecutive breakpoints the
+// equilibrium sets must be constant, every grid evaluation must land on
+// the sets of its segment (or breakpoint), and the n=5 breakpoint list is
+// pinned as a golden value (the CI job diffs the same list from
 // `bilatnet run poa-curve --n 5`).
 #include "analysis/poa_curve.hpp"
 
@@ -11,51 +11,69 @@
 #include <vector>
 
 #include "analysis/sweep.hpp"
-#include "util/contracts.hpp"
 
 namespace bnf {
 namespace {
 
-TEST(PoaCurveTest, GridEvaluationMatchesCensusSweepAtEveryGridPoint) {
+/// The row whose tau range holds `tau`: the breakpoint row on a
+/// breakpoint, else the segment row around it.
+const poa_curve_row& row_at(const poa_curve_summary& curve,
+                            const rational& tau) {
+  std::size_t segment = 0;
+  while (segment < curve.breakpoints.size() &&
+         curve.breakpoints[segment].tau < tau) {
+    ++segment;
+  }
+  if (segment < curve.breakpoints.size() &&
+      curve.breakpoints[segment].tau == tau) {
+    return curve.rows[2 * segment + 1];
+  }
+  return curve.rows[2 * segment];
+}
+
+TEST(PoaCurveTest, GridPointsLandOnTheSetsOfTheirRow) {
   const int n = 6;
-  const poa_curve curve = build_poa_curve(n);
+  const poa_curve_summary curve = stream_poa_curve(n);
   const auto taus = default_tau_grid(n);
   const auto points = census_sweep(n, taus, {.include_ucg = true});
   for (std::size_t t = 0; t < taus.size(); ++t) {
-    const census_point from_curve = evaluate_poa_curve(curve, taus[t]);
-    EXPECT_EQ(from_curve.bcg.count, points[t].bcg.count) << taus[t];
-    EXPECT_EQ(from_curve.ucg.count, points[t].ucg.count) << taus[t];
-    EXPECT_DOUBLE_EQ(from_curve.bcg.max_poa, points[t].bcg.max_poa);
-    EXPECT_DOUBLE_EQ(from_curve.ucg.max_poa, points[t].ucg.max_poa);
-    EXPECT_NEAR(from_curve.bcg.avg_poa, points[t].bcg.avg_poa, 1e-12);
-    EXPECT_NEAR(from_curve.ucg.avg_poa, points[t].ucg.avg_poa, 1e-12);
-    EXPECT_NEAR(from_curve.bcg.avg_edges, points[t].bcg.avg_edges, 1e-12);
-    EXPECT_NEAR(from_curve.ucg.avg_edges, points[t].ucg.avg_edges, 1e-12);
+    const census_point& row = row_at(curve, exact_rational(taus[t])).point;
+    EXPECT_EQ(row.bcg.count, points[t].bcg.count) << taus[t];
+    EXPECT_EQ(row.ucg.count, points[t].ucg.count) << taus[t];
+    EXPECT_NEAR(row.bcg.avg_edges, points[t].bcg.avg_edges, 1e-12);
+    EXPECT_NEAR(row.ucg.avg_edges, points[t].ucg.avg_edges, 1e-12);
   }
 }
 
 TEST(PoaCurveTest, EquilibriumSetsAreConstantOnEverySegment) {
-  const poa_curve curve = build_poa_curve(5);
+  const int n = 5;
+  const poa_curve_summary curve = stream_poa_curve(n);
+  // A second interior point per segment: nudge the row's probe toward the
+  // segment's right end (or just further right on the unbounded tail).
+  std::vector<double> others;
   for (std::size_t s = 0; s <= curve.breakpoints.size(); ++s) {
-    const rational probe = poa_curve_segment_probe(curve, s);
-    // A second interior probe: nudge toward the segment's right end (or
-    // just further right on the unbounded tail).
+    const rational& probe = curve.rows[2 * s].tau;
     const rational other =
         s < curve.breakpoints.size()
             ? midpoint(probe, curve.breakpoints[s].tau)
             : rational::make(probe.num + probe.den, probe.den);
-    const census_point a = evaluate_poa_curve(curve, probe);
-    const census_point b = evaluate_poa_curve(curve, other);
-    EXPECT_EQ(a.bcg.count, b.bcg.count) << "segment " << s;
-    EXPECT_EQ(a.ucg.count, b.ucg.count) << "segment " << s;
-    EXPECT_NEAR(a.bcg.avg_edges, b.bcg.avg_edges, 1e-12) << "segment " << s;
-    EXPECT_NEAR(a.ucg.avg_edges, b.ucg.avg_edges, 1e-12) << "segment " << s;
+    others.push_back(other.to_double());
+  }
+  const auto points = census_sweep(n, others, {.include_ucg = true});
+  for (std::size_t s = 0; s < others.size(); ++s) {
+    const census_point& row = curve.rows[2 * s].point;
+    EXPECT_EQ(row.bcg.count, points[s].bcg.count) << "segment " << s;
+    EXPECT_EQ(row.ucg.count, points[s].ucg.count) << "segment " << s;
+    EXPECT_NEAR(row.bcg.avg_edges, points[s].bcg.avg_edges, 1e-12)
+        << "segment " << s;
+    EXPECT_NEAR(row.ucg.avg_edges, points[s].ucg.avg_edges, 1e-12)
+        << "segment " << s;
   }
 }
 
 TEST(PoaCurveTest, N5BreakpointsAreGolden) {
   // Mirrors tests/data/poa_curve_n5_breakpoints.csv (the CI golden).
-  const poa_curve curve = build_poa_curve(5);
+  const poa_curve_summary curve = stream_poa_curve(5);
   const std::vector<std::string> expected_tau = {"1", "2", "3", "4", "8"};
   const std::vector<std::string> expected_games = {"ucg", "bcg+ucg", "ucg",
                                                    "bcg+ucg", "bcg"};
@@ -72,48 +90,25 @@ TEST(PoaCurveTest, N5BreakpointsAreGolden) {
 TEST(PoaCurveTest, BreakpointMembershipUsesClosedBoundaries) {
   // n=5 at tau exactly 1 (alpha_UCG = 1): the UCG's massive indifference
   // tie — every one of the 15 topologies whose interval touches 1 counts,
-  // versus 1 (the clique) just below and 3 just above.
-  const poa_curve curve = build_poa_curve(5);
-  const census_point at_one = evaluate_poa_curve(curve, rational::from_int(1));
-  const census_point below = evaluate_poa_curve(curve, rational::make(9, 10));
-  const census_point above = evaluate_poa_curve(curve, rational::make(11, 10));
-  EXPECT_EQ(at_one.ucg.count, 15);
-  EXPECT_EQ(below.ucg.count, 1);
-  EXPECT_EQ(above.ucg.count, 3);
-}
-
-TEST(PoaCurveTest, RationalAndDoubleEvaluationsAgree) {
-  const poa_curve curve = build_poa_curve(5);
-  for (const double tau : {0.53, 1.5, 2.75, 6.0, 33.92}) {
-    const census_point via_double = evaluate_poa_curve(curve, tau);
-    const census_point via_rational =
-        evaluate_poa_curve(curve, exact_rational(tau));
-    EXPECT_EQ(via_double.bcg.count, via_rational.bcg.count) << tau;
-    EXPECT_EQ(via_double.ucg.count, via_rational.ucg.count) << tau;
-  }
+  // versus 1 (the clique) on the segment below and 3 on the one above.
+  const poa_curve_summary curve = stream_poa_curve(5);
+  ASSERT_EQ(curve.breakpoints.front().tau, rational::from_int(1));
+  EXPECT_EQ(curve.rows[0].point.ucg.count, 1);
+  EXPECT_TRUE(curve.rows[1].on_breakpoint);
+  EXPECT_EQ(curve.rows[1].point.ucg.count, 15);
+  EXPECT_EQ(curve.rows[2].point.ucg.count, 3);
 }
 
 TEST(PoaCurveTest, BcgOnlyCurveHasNoUcgBreakpoints) {
-  const poa_curve curve = build_poa_curve(5, {.include_ucg = false});
+  const poa_curve_summary curve = stream_poa_curve(5, {.include_ucg = false});
   EXPECT_FALSE(curve.breakpoints.empty());
   for (const poa_breakpoint& entry : curve.breakpoints) {
     EXPECT_TRUE(entry.from_bcg);
     EXPECT_FALSE(entry.from_ucg);
   }
-  const census_point probe = evaluate_poa_curve(curve, 4.0);
-  EXPECT_EQ(probe.ucg.count, 0);
-  EXPECT_GT(probe.bcg.count, 0);
-}
-
-TEST(PoaCurveTest, Preconditions) {
-  EXPECT_THROW((void)build_poa_curve(9), precondition_error);
-  const poa_curve curve = build_poa_curve(4);
-  EXPECT_THROW((void)evaluate_poa_curve(curve, -1.0), precondition_error);
-  EXPECT_THROW((void)evaluate_poa_curve(curve, rational::from_int(0)),
-               precondition_error);
-  EXPECT_THROW(
-      (void)poa_curve_segment_probe(curve, curve.breakpoints.size() + 1),
-      precondition_error);
+  const census_point& at_four = row_at(curve, rational::from_int(4)).point;
+  EXPECT_EQ(at_four.ucg.count, 0);
+  EXPECT_GT(at_four.bcg.count, 0);
 }
 
 }  // namespace

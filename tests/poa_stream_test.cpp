@@ -1,9 +1,7 @@
-// Streaming-vs-materialized equivalence: the sharded streaming breakpoint
-// engine must reproduce the record path BYTE for byte — same exact
-// breakpoints, same doubles in every row statistic — for every n the
-// record path covers, across thread counts, and across memory budgets
-// (profile cache vs two-pass re-streaming). The shared exact accumulator
-// makes this equality structural, and these tests keep it that way.
+// The sharded streaming breakpoint engine: every row whose tau is a double
+// must agree with an independent naive evaluator (tests/testing.hpp), and
+// the output must be BYTE-identical across thread counts and memory
+// budgets (profile cache vs two-pass re-streaming).
 #include "analysis/poa_curve.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +12,7 @@
 
 #include "analysis/report.hpp"
 #include "gen/enumerate.hpp"
+#include "testing.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -54,11 +53,9 @@ void expect_identical_summaries(const poa_curve_summary& a,
   }
 }
 
-TEST(PoaStreamTest, MatchesMaterializedPathByteForByteUpToN7) {
+TEST(PoaStreamTest, MatchesNaiveOracleUpToN7) {
   for (int n = 3; n <= 7; ++n) {
     SCOPED_TRACE("n=" + std::to_string(n));
-    const poa_curve_summary materialized =
-        summarize_poa_curve(build_poa_curve(n));
     const poa_curve_summary streamed = stream_poa_curve(n);
     EXPECT_EQ(streamed.profile_passes, 1);
     EXPECT_GT(streamed.profile_cache_bytes, 0U);
@@ -66,7 +63,9 @@ TEST(PoaStreamTest, MatchesMaterializedPathByteForByteUpToN7) {
     // here would flag a region shape (multi-component / out-of-range)
     // worth investigating, not just a perf blip.
     EXPECT_EQ(streamed.spilled_profiles, 0U);
-    expect_identical_summaries(materialized, streamed);
+    const std::size_t checked =
+        testing::expect_rows_match_naive(streamed, true);
+    EXPECT_GE(5 * checked, 4 * streamed.rows.size());
   }
 }
 
@@ -97,25 +96,25 @@ TEST(PoaStreamTest, ThreadCountsProduceIdenticalBytes) {
 
 TEST(PoaStreamTest, RenderedTablesAreIdentical) {
   // The scenario-level guarantee: the tables (and hence the CSV golden
-  // files) cannot tell the engines apart.
+  // files) cannot tell a cached run from a re-streamed one.
   const auto csv_of = [](const text_table& table) {
     std::ostringstream out;
     table.to_csv(out);
     return out.str();
   };
-  const poa_curve curve = build_poa_curve(6);
-  const poa_curve_summary streamed = stream_poa_curve(6);
-  EXPECT_EQ(csv_of(poa_breakpoints_table(curve)),
-            csv_of(poa_breakpoints_table(streamed)));
-  EXPECT_EQ(csv_of(poa_curve_table(curve)), csv_of(poa_curve_table(streamed)));
+  const poa_curve_summary cached = stream_poa_curve(6, {.threads = 1});
+  const poa_curve_summary two_pass =
+      stream_poa_curve(6, {.threads = 3, .memory_budget = 0});
+  EXPECT_EQ(csv_of(poa_breakpoints_table(cached)),
+            csv_of(poa_breakpoints_table(two_pass)));
+  EXPECT_EQ(csv_of(poa_curve_table(cached)), csv_of(poa_curve_table(two_pass)));
 }
 
-TEST(PoaStreamTest, BcgOnlyCurveMatchesMaterialized) {
-  const poa_curve_summary materialized =
-      summarize_poa_curve(build_poa_curve(6, {.include_ucg = false}));
+TEST(PoaStreamTest, BcgOnlyCurveMatchesNaiveOracle) {
   const poa_curve_summary streamed =
       stream_poa_curve(6, {.include_ucg = false});
-  expect_identical_summaries(materialized, streamed);
+  const std::size_t checked = testing::expect_rows_match_naive(streamed, false);
+  EXPECT_GE(5 * checked, 4 * streamed.rows.size());
   for (const poa_breakpoint& entry : streamed.breakpoints) {
     EXPECT_TRUE(entry.from_bcg);
     EXPECT_FALSE(entry.from_ucg);
@@ -136,11 +135,10 @@ TEST(PoaStreamTest, RowsInterleaveSegmentsAndBreakpoints) {
   }
 }
 
-TEST(PoaStreamTest, StreamCoversN9BeyondTheRecordGuard) {
-  // The record path is capped at n <= 8; the streaming engine must keep
-  // going. n=9 profiles 261080 topologies — a few seconds — and its
-  // breakpoint list must contain the n=8 thresholds' general pattern:
-  // strictly increasing, all finite and positive.
+TEST(PoaStreamTest, StreamCoversN9) {
+  // n=9 profiles 261080 topologies — a few seconds — and its breakpoint
+  // list must keep the general pattern: strictly increasing, all finite
+  // and positive.
   const poa_curve_summary summary =
       stream_poa_curve(9, {.include_ucg = false});
   EXPECT_EQ(summary.topologies, 261080U);

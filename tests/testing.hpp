@@ -12,9 +12,16 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/poa_curve.hpp"
+#include "equilibria/pairwise_stability.hpp"
+#include "equilibria/ucg_nash.hpp"
+#include "game/connection_game.hpp"
+#include "game/efficiency.hpp"
+#include "gen/enumerate.hpp"
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "graph/graph.hpp"
+#include "util/rational.hpp"
 #include "util/rng.hpp"
 
 namespace bnf::testing {
@@ -87,6 +94,100 @@ inline graph random_connected(rng& random, int lo_n = 4, int hi_n = 10) {
       n - 1 + static_cast<int>(
                   random.below(static_cast<std::uint64_t>(2 * n))));
   return random_connected_gnm(n, m, random);
+}
+
+/// One game's equilibrium-set statistics at one link cost, recomputed from
+/// scratch by naive_census_row.
+struct naive_set_stats {
+  long long count{0};
+  double avg_poa{0.0};
+  double max_poa{0.0};  // 0 for an empty set, like the census
+  double min_poa{0.0};
+  double avg_edges{0.0};
+};
+
+struct naive_row {
+  naive_set_stats bcg;
+  naive_set_stats ucg;
+};
+
+/// The census at total edge cost tau, the slow way: walk every connected
+/// topology, decide membership with the per-alpha predicates
+/// (is_pairwise_stable at tau / 2, is_ucg_nash at tau), and average the
+/// literal per-topology PoA social_cost / optimal_social_cost. It shares
+/// no code with the census kernel or its accumulator, so agreement with
+/// stream_poa_curve rows is independent evidence. Exact only where tau is
+/// a double, which is why callers use it on such rows only.
+inline naive_row naive_census_row(int n, double tau, bool include_ucg) {
+  struct tally {
+    long long count{0};
+    long long edges{0};
+    double poa_sum{0.0};
+    naive_set_stats stats;
+
+    void add(double poa, int links) {
+      stats.max_poa = count == 0 ? poa : std::max(stats.max_poa, poa);
+      stats.min_poa = count == 0 ? poa : std::min(stats.min_poa, poa);
+      ++count;
+      edges += links;
+      poa_sum += poa;
+    }
+    naive_set_stats finish() {
+      stats.count = count;
+      if (count > 0) {
+        stats.avg_poa = poa_sum / static_cast<double>(count);
+        stats.avg_edges =
+            static_cast<double>(edges) / static_cast<double>(count);
+      }
+      return stats;
+    }
+  };
+  const connection_game bcg_game{n, tau / 2.0, link_rule::bilateral};
+  const connection_game ucg_game{n, tau, link_rule::unilateral};
+  const double bcg_opt = optimal_social_cost(bcg_game);
+  const double ucg_opt = optimal_social_cost(ucg_game);
+  tally bcg;
+  tally ucg;
+  for_each_graph(
+      n,
+      [&](const graph& g) {
+        if (is_pairwise_stable(g, tau / 2.0)) {
+          bcg.add(social_cost(g, bcg_game).finite / bcg_opt, g.size());
+        }
+        if (include_ucg && is_ucg_nash(g, tau)) {
+          ucg.add(social_cost(g, ucg_game).finite / ucg_opt, g.size());
+        }
+      },
+      {.connected_only = true});
+  return {bcg.finish(), ucg.finish()};
+}
+
+inline void expect_matches_naive(const equilibrium_set_stats& engine,
+                                 const naive_set_stats& naive,
+                                 const std::string& where) {
+  EXPECT_EQ(engine.count, naive.count) << where;
+  EXPECT_NEAR(engine.avg_poa, naive.avg_poa, 1e-12) << where;
+  EXPECT_NEAR(engine.max_poa, naive.max_poa, 1e-12) << where;
+  EXPECT_NEAR(engine.min_poa, naive.min_poa, 1e-12) << where;
+  EXPECT_NEAR(engine.avg_edges, naive.avg_edges, 1e-12) << where;
+}
+
+/// Check every row of `summary` whose tau is exactly a double against
+/// naive_census_row; returns how many rows were checked.
+inline std::size_t expect_rows_match_naive(const poa_curve_summary& summary,
+                                           bool include_ucg) {
+  std::size_t checked = 0;
+  for (const poa_curve_row& row : summary.rows) {
+    const double tau = row.tau.to_double();
+    if (!(exact_rational(tau) == row.tau)) continue;
+    const naive_row naive = naive_census_row(summary.n, tau, include_ucg);
+    const std::string where = "n=" + std::to_string(summary.n) + " tau=" +
+                              to_string(row.tau);
+    expect_matches_naive(row.point.bcg, naive.bcg, where + " bcg");
+    expect_matches_naive(row.point.ucg, naive.ucg, where + " ucg");
+    ++checked;
+  }
+  return checked;
 }
 
 }  // namespace bnf::testing
