@@ -1,10 +1,10 @@
 #include "analysis/census_kernel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <span>
 
-#include "equilibria/ucg_nash.hpp"
 #include "game/connection_game.hpp"
 #include "game/efficiency.hpp"
 #include "graph/graph.hpp"
@@ -100,16 +100,23 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
   obs::counter& shards_done = obs::get_counter(obs::names::shards_done);
   obs::counter& topologies_profiled =
       obs::get_counter(obs::names::topologies_profiled);
-  obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_ms);
+  obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_us);
   obs::histogram& shard_sizes =
       obs::get_histogram(obs::names::shard_topologies);
 
-  parallel_for_chunks(shard_count, threads_, [&](std::size_t shard_begin,
-                                                 std::size_t shard_end) {
-    // One region-search arena per worker: every topology it profiles
-    // reuses the same DFS scratch.
-    ucg_region_workspace scratch;
-    for (std::size_t shard = shard_begin; shard < shard_end; ++shard) {
+  // Shards are claimed on demand: shard sizes differ by ~50x, so each
+  // worker takes the next unclaimed shard until none is left instead of
+  // owning a fixed block. Which worker runs a shard never reaches a
+  // result: every shard writes only its own slot.
+  std::atomic<std::size_t> next_shard{0};
+  const int workers = std::min(threads_, static_cast<int>(shard_count));
+  parallel_for_chunks(static_cast<std::size_t>(workers), workers,
+                      [&](std::size_t, std::size_t) {
+    // One arena per worker: every topology it profiles reuses the same
+    // flip table and DFS scratch.
+    profile_workspace scratch;
+    for (std::size_t shard = next_shard++; shard < shard_count;
+         shard = next_shard++) {
       obs::trace_span span(pass.shard_span);
       span.arg("shard", shard);
       stopwatch shard_timer;
@@ -135,7 +142,7 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
       }
       shards_done.add(1);
       shard_wall.record(
-          static_cast<std::uint64_t>(shard_timer.seconds() * 1000.0));
+          static_cast<std::uint64_t>(shard_timer.seconds() * 1e6));
     }
   });
 

@@ -1,16 +1,20 @@
 // The one census kernel behind census_sweep and stream_poa_curve. A pass
 // walks the fixed 128-shard orderly enumeration plan, profiles every
-// connected topology once (profile_topology, one region-search workspace
-// per worker), folds it into per-shard accumulators at a caller-supplied
-// set of exact probes (a row_grid), and merges the shards in fixed shard
+// connected topology once (profile_topology, one profile_workspace per
+// worker), folds it into per-shard accumulators at a caller-supplied set
+// of exact probes (a row_grid), and merges the shards in fixed shard
 // order. The grid census runs one pass on the caller's taus; the curve
 // engine runs a breakpoint-collecting pass with no rows, then evaluates
 // its breakpoint-derived rows either by re-walking the plan or by
 // replaying its packed profile cache through the same shard loop.
 //
-// Sharding is fixed (independent of the thread count) and the exact
-// accumulator is associative, so every pass is byte-identical on 1 thread
-// or 64.
+// Workers claim shards on demand: each takes the next unclaimed shard
+// index from an atomic cursor until none is left, so a large shard no
+// longer stalls a whole static block. The shard plan itself is fixed
+// (independent of the thread count), every shard writes only its own
+// accumulators, and the exact accumulator is associative, so merging in
+// fixed shard order makes every pass byte-identical on 1 thread or 64,
+// whichever worker ran which shard.
 #pragma once
 
 #include <cstddef>
@@ -59,7 +63,9 @@ struct shard_rows {
            long long distance_total);
 };
 
-/// What one pass does beyond profiling and accumulating.
+/// What one pass does beyond profiling and accumulating. The callbacks
+/// run on whichever worker claimed the shard, concurrently for different
+/// shards, so they may touch only that shard's own state.
 struct census_pass {
   const char* shard_span{"census.shard"};  // trace span per shard
   const char* reduce_span{nullptr};        // span around the merge, if any

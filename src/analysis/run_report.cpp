@@ -31,6 +31,13 @@ std::uint64_t get_uint_or(const json_value& object, std::string_view key,
   return value != nullptr && value->is_number() ? value->as_uint() : fallback;
 }
 
+double get_double_or(const json_value& object, std::string_view key,
+                     double fallback) {
+  const json_value* value = object.find(key);
+  return value != nullptr && value->is_number() ? value->as_double()
+                                                : fallback;
+}
+
 ledger_record parse_record(const json_value& object) {
   ledger_record record;
   record.scenario = object.at("scenario").as_string();
@@ -50,6 +57,17 @@ ledger_record parse_record(const json_value& object) {
   if (const json_value* counters = object.find("counters")) {
     for (const auto& [name, value] : counters->members()) {
       record.counters.emplace_back(name, value.as_uint());
+    }
+  }
+  if (const json_value* skew = object.find("shard_skew");
+      skew != nullptr && skew->is_object()) {
+    const json_value* wall = skew->find("wall_us");
+    if (wall != nullptr && wall->is_object()) {
+      shard_wall_summary& summary = record.shard_wall;
+      summary.shards = get_uint_or(*skew, "shards", 0);
+      summary.min_us = get_double_or(*wall, "min", 0);
+      summary.p50_us = get_double_or(*wall, "p50", 0);
+      summary.max_us = get_double_or(*wall, "max", 0);
     }
   }
   if (const json_value* files = object.find("files")) {
@@ -260,6 +278,21 @@ text_table shard_skew_table(const std::vector<shard_phase_stats>& phases) {
   return table;
 }
 
+text_table shard_wall_table(const std::vector<ledger_record>& runs) {
+  text_table table(
+      {"#", "shards", "min_us", "p50_us", "max_us", "max/p50"});
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const shard_wall_summary& wall = runs[i].shard_wall;
+    if (wall.shards == 0) continue;
+    table.add_row({std::to_string(i + 1), std::to_string(wall.shards),
+                   fmt_double(wall.min_us), fmt_double(wall.p50_us),
+                   fmt_double(wall.max_us),
+                   wall.p50_us > 0 ? fmt_double(wall.max_us / wall.p50_us, 2)
+                                   : "-"});
+  }
+  return table;
+}
+
 text_table generator_funnel_table(const ledger_record& run) {
   text_table table({"stage", "count", "share"});
   const std::uint64_t candidates =
@@ -446,6 +479,13 @@ int report_view(const std::string& ledger_path, arg_parser& args,
   out << "run ledger: " << ledger_path << " (" << runs.size() << " run"
       << (runs.size() == 1 ? "" : "s") << ")\n\n";
   run_summary_table(runs).print(out);
+
+  const text_table shard_wall = shard_wall_table(runs);
+  if (!shard_wall.rows().empty()) {
+    out << "\nshard wall time (ledger, " << obs::names::shard_wall_us
+        << "):\n";
+    shard_wall.print(out);
+  }
 
   std::size_t selected = runs.size();
   if (args.was_set("run")) {

@@ -5,7 +5,8 @@
 //   * a run summary table over the whole ledger (wall, RSS, throughput),
 //   * the orderly-generator candidate funnel of one run,
 //   * per-shard wall-time skew tables (p50/p95/max, straggler shard ids,
-//     topologies/s) straight from the trace spans,
+//     topologies/s) straight from the trace spans, and per-run shard wall
+//     microseconds from the ledger's own shard_skew summaries,
 //   * scaling-efficiency fits across runs of the same workload at
 //     different --threads,
 //   * and `report diff`: two runs compared under a noise threshold with a
@@ -26,6 +27,16 @@
 
 namespace bnf {
 
+/// A run's shard wall-time summary as its ledger footer records it
+/// (engine.shard_wall_us histogram delta: min and max are bucket bounds,
+/// p50 the interpolated estimate).
+struct shard_wall_summary {
+  std::uint64_t shards{0};  // 0 = not recorded
+  double min_us{0};
+  double p50_us{0};
+  double max_us{0};
+};
+
 /// One parsed ledger record (one engine run), in ledger order.
 struct ledger_record {
   std::string scenario;
@@ -40,6 +51,8 @@ struct ledger_record {
   std::uint64_t peak_rss_bytes{0};
   /// The run's counter deltas, in recorded (sorted-name) order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
+  /// The footer's shard_skew object (shards == 0 when absent).
+  shard_wall_summary shard_wall;
   /// Side-file paths as recorded (empty = the run did not write one).
   std::string jsonl_path;
   std::string csv_path;
@@ -104,6 +117,12 @@ struct shard_phase_stats {
 /// topologies/s, straggler ids.
 [[nodiscard]] text_table shard_skew_table(
     const std::vector<shard_phase_stats>& phases);
+
+/// Per-run shard wall time from the ledger alone (no trace needed): run #,
+/// shards, min/p50/max microseconds and max over p50. Runs without a
+/// shard_skew record are left out.
+[[nodiscard]] text_table shard_wall_table(
+    const std::vector<ledger_record>& runs);
 
 /// The orderly-generator candidate funnel of one run (stage, count, share
 /// of candidates). Empty table (no rows) when the run recorded no

@@ -7,10 +7,19 @@
 #pragma once
 
 #include "equilibria/alpha_interval.hpp"
+#include "equilibria/pairwise_stability.hpp"
 #include "equilibria/ucg_nash.hpp"
 #include "graph/graph.hpp"
 
 namespace bnf {
+
+/// Per-thread scratch of profile_topology: the single-flip table both
+/// games' certificates read (measured once per topology), and the region
+/// search arena.
+struct profile_workspace {
+  single_flip_table flips;
+  ucg_region_workspace region;
+};
 
 struct topology_profile {
   int edges{0};
@@ -24,12 +33,12 @@ struct topology_profile {
 
 /// Profile one connected topology. `ucg_clamp` restricts the UCG region
 /// search (pass the default full interval when every threshold is needed,
-/// e.g. for breakpoint enumeration); `scratch` is the per-thread region
-/// search arena — callers looping over topologies reuse one workspace per
-/// thread so the DFS state is allocated once, not once per topology.
+/// e.g. for breakpoint enumeration); `scratch` is the per-thread arena —
+/// callers looping over topologies reuse one workspace per thread so the
+/// flip table and the DFS state are allocated once, not once per topology.
 [[nodiscard]] topology_profile profile_topology(const graph& g,
                                                 bool include_ucg,
                                                 const alpha_interval& ucg_clamp,
-                                                ucg_region_workspace& scratch);
+                                                profile_workspace& scratch);
 
 }  // namespace bnf

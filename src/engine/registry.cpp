@@ -158,7 +158,7 @@ int run_scenario_main(const scenario& entry, int argc,
     const std::uint64_t shards_before =
         obs::get_counter(obs::names::shards_done).value();
     const obs::histogram_snapshot shard_wall_before =
-        obs::get_histogram(obs::names::shard_wall_ms).snapshot();
+        obs::get_histogram(obs::names::shard_wall_us).snapshot();
     std::optional<obs::progress_reporter> progress;
     if (args.was_set("progress")) {
       progress.emplace(args.get_double("progress"), std::cerr);
@@ -185,11 +185,11 @@ int run_scenario_main(const scenario& entry, int argc,
     // cumulative, but bucket counts are individually monotone, so the
     // snapshot delta describes exactly the shards recorded in between.
     const obs::histogram_snapshot shard_wall_delta = obs::snapshot_delta(
-        obs::get_histogram(obs::names::shard_wall_ms).snapshot(),
+        obs::get_histogram(obs::names::shard_wall_us).snapshot(),
         shard_wall_before);
     if (shard_wall_delta.count > 0) {
       std::ostringstream skew;
-      skew << "{\"shards\":" << shard_wall_delta.count << ",\"wall_ms\":{"
+      skew << "{\"shards\":" << shard_wall_delta.count << ",\"wall_us\":{"
            << "\"min\":" << obs::snapshot_min_bound(shard_wall_delta)
            << ",\"p50\":"
            << fmt_double(obs::estimate_percentile(shard_wall_delta, 50))

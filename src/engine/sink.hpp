@@ -45,7 +45,8 @@ struct run_footer {
   /// metrics registry delta), or empty to omit the summary block.
   std::string metrics_json;
   /// Pre-rendered JSON object summarizing the run's shard wall-time skew
-  /// (min/median/max from the engine.shard_wall_ms histogram delta), or
+  /// ({"shards":S,"wall_us":{"min":..,"p50":..,"max":..}} from the
+  /// engine.shard_wall_us histogram delta), or
   /// empty for scenarios with no shard structure.
   std::string shard_skew_json;
 };

@@ -30,56 +30,86 @@ long long edge_addition_decrease(const graph& g, int u, int v) {
   return before.sum - after.sum;
 }
 
-stability_record compute_stability_record(const graph& g) {
-  expects(is_connected(g),
-          "compute_stability_record: requires a connected graph");
-  stability_record record{0.0, std::numeric_limits<double>::infinity(), true};
+long long single_flip_table::distance_total() const {
+  long long total = 0;
+  for (const long long sum : base) total += sum;
+  return total;
+}
 
-  // All deltas are single-link toggles incident to the measured endpoint,
-  // so one base BFS per vertex plus one row-replacement BFS per (pair,
-  // endpoint) covers everything — no graph copies, no re-derived base
-  // sums (distance_sum_with_row in graph/paths.hpp).
+void measure_single_flips(const graph& g, single_flip_table& table) {
   const int n = g.order();
-  std::vector<long long> base(static_cast<std::size_t>(n));
+  const auto count = static_cast<std::size_t>(n);
+  table.n = n;
+  table.connected = true;
+  table.base.resize(count);
   for (int v = 0; v < n; ++v) {
-    base[static_cast<std::size_t>(v)] = distance_sum(g, v).sum;
+    const distance_summary summary = distance_sum(g, v);
+    table.base[static_cast<std::size_t>(v)] = summary.sum;
+    if (summary.unreached > 0) table.connected = false;
   }
-  const auto addition_decrease = [&](int a, int b) {
-    return base[static_cast<std::size_t>(a)] -
-           distance_sum_with_row(g, a, g.neighbors(a) | bit(b)).sum;
-  };
-  const auto deletion_increase = [&](int a, int b) {
-    const distance_summary cut =
-        distance_sum_with_row(g, a, g.neighbors(a) & ~bit(b));
-    if (cut.unreached > 0) return infinite_delta;
-    return cut.sum - base[static_cast<std::size_t>(a)];
-  };
+  if (!table.connected) return;
 
-  // Collect (least, most) interested savings per missing link, then decide
-  // the boundary case against the final alpha_min.
-  std::vector<std::pair<long long, long long>> savings;
-  for (const auto& [u, v] : g.non_edges()) {
-    const long long dec_u = addition_decrease(u, v);
-    const long long dec_v = addition_decrease(v, u);
-    savings.emplace_back(std::min(dec_u, dec_v), std::max(dec_u, dec_v));
-    record.alpha_min = std::max(
-        record.alpha_min, static_cast<double>(std::min(dec_u, dec_v)));
+  // No graph copies and no re-derived base sums: the stale reverse bit in
+  // the other endpoint's row cannot shorten any path from a.
+  table.delta.assign(count * count, 0);
+  for (int a = 0; a < n; ++a) {
+    const std::uint64_t row = g.neighbors(a);
+    const long long base = table.base[static_cast<std::size_t>(a)];
+    long long* deltas =
+        table.delta.data() + static_cast<std::size_t>(a) * count;
+    for_each_bit(g.vertex_mask() & ~bit(a), [&](int b) {
+      long long& delta = deltas[static_cast<std::size_t>(b)];
+      if (has_bit(row, b)) {
+        const distance_summary cut =
+            distance_sum_with_row(g, a, row & ~bit(b));
+        delta = cut.unreached > 0 ? infinite_delta : cut.sum - base;
+      } else {
+        const distance_summary joined =
+            distance_sum_with_row(g, a, row | bit(b));
+        delta = joined.unreached > 0 ? infinite_delta : base - joined.sum;
+      }
+    });
   }
-  for (const auto& [least, most] : savings) {
-    if (static_cast<double>(least) == record.alpha_min && most > least) {
-      record.boundary_stable = false;
-    }
-  }
+}
 
-  for (const auto& [u, v] : g.edges()) {
-    const long long inc_u = deletion_increase(u, v);
-    const long long inc_v = deletion_increase(v, u);
-    const long long binding = std::min(inc_u, inc_v);
-    if (binding < infinite_delta) {
-      record.alpha_max =
-          std::min(record.alpha_max, static_cast<double>(binding));
-    }
+stability_record compute_stability_record(const graph& g) {
+  single_flip_table flips;
+  measure_single_flips(g, flips);
+  return compute_stability_record(g, flips);
+}
+
+stability_record compute_stability_record(const graph& g,
+                                          const single_flip_table& flips) {
+  expects(flips.connected,
+          "compute_stability_record: requires a connected graph");
+  expects(flips.n == g.order(),
+          "compute_stability_record: flip table of another order");
+  stability_record record{0.0, std::numeric_limits<double>::infinity(), true};
+  // alpha_min is the largest least-interested saving over missing links;
+  // the boundary is open when some link attaining it has asymmetric
+  // savings. alpha_max is the smallest binding severance cost.
+  long long alpha_min = 0;
+  for (int u = 0; u < g.order(); ++u) {
+    const std::uint64_t later = g.vertex_mask() & ~low_bits(u + 1);
+    for_each_bit(later & ~g.neighbors(u), [&](int v) {
+      const long long dec_u = flips.at(u, v);
+      const long long dec_v = flips.at(v, u);
+      const long long least = std::min(dec_u, dec_v);
+      if (least > alpha_min) {
+        alpha_min = least;
+        record.boundary_stable = true;
+      }
+      if (least == alpha_min && dec_u != dec_v) record.boundary_stable = false;
+    });
+    for_each_bit(later & g.neighbors(u), [&](int v) {
+      const long long binding = std::min(flips.at(u, v), flips.at(v, u));
+      if (binding < infinite_delta) {
+        record.alpha_max =
+            std::min(record.alpha_max, static_cast<double>(binding));
+      }
+    });
   }
+  record.alpha_min = static_cast<double>(alpha_min);
   return record;
 }
 

@@ -11,8 +11,10 @@
 // All deltas are exact integers (hop counts); infinities are explicit.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "equilibria/alpha_interval.hpp"
 #include "graph/graph.hpp"
@@ -22,6 +24,36 @@ namespace bnf {
 /// Sentinel for an infinite distance delta (severing a bridge / linking
 /// across components). Large enough to dominate, small enough to add.
 inline constexpr long long infinite_delta = 1LL << 40;
+
+/// Every single-link toggle of one graph, measured once: the distance sum
+/// of each vertex plus, for every ordered pair (a, b), the change to a's
+/// sum when a toggles its link to b. Toggling a link incident to a only
+/// changes a's own row, so each entry is one row-replacement BFS
+/// (graph/paths.hpp) — n + n(n-1) BFS per graph, shared by the BCG
+/// stability record, the distance total and the UCG region search's root
+/// window and seeds.
+struct single_flip_table {
+  int n{0};
+  /// False when some base BFS left a vertex unreached; the deltas are
+  /// then not measured.
+  bool connected{true};
+  /// base[v] = sum_j d(v, j).
+  std::vector<long long> base;
+  /// delta[a * n + b], a != b: edge_deletion_increase(g, a, b) when (a, b)
+  /// is an edge (infinite_delta on a bridge), edge_addition_decrease(g, a,
+  /// b) otherwise.
+  std::vector<long long> delta;
+
+  [[nodiscard]] long long at(int a, int b) const {
+    return delta[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
+                 static_cast<std::size_t>(b)];
+  }
+  /// Sum of d(i, j) over ordered pairs (total_distance(g).sum).
+  [[nodiscard]] long long distance_total() const;
+};
+
+/// Measure g's table into `table`, reusing its storage.
+void measure_single_flips(const graph& g, single_flip_table& table);
 
 /// Distance-cost increase to endpoint u from severing edge (u,v):
 ///   sum_j d(u,j)(G - uv) - sum_j d(u,j)(G).
@@ -72,6 +104,9 @@ struct stability_record {
 
 /// One-pass exact stability record (requires connected g).
 [[nodiscard]] stability_record compute_stability_record(const graph& g);
+/// The same record read from g's measured single-flip table.
+[[nodiscard]] stability_record compute_stability_record(
+    const graph& g, const single_flip_table& flips);
 
 /// The record as an exact alpha interval: (alpha_min, alpha_max], closed
 /// at alpha_min iff boundary_stable. The record's endpoints are integer

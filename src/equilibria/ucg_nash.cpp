@@ -160,31 +160,47 @@ alpha_interval player_content_interval(const graph& g, int i,
   // dominated by their kept-free reduction (which IS enumerated): the
   // candidate space shrinks from 2^(n-1) to 2^(n-1-|kept|) exactly.
   const std::uint64_t candidates = g.vertex_mask() & ~bit(i) & ~kept_row;
+  const int kept = popcount(kept_row);
+  const int largest = popcount(candidates);
 
-  std::uint64_t subset = candidates;
-  while (true) {
-    const int k_dev = popcount(subset);
-    // Distance floor after the deviation: bought links plus links the
-    // other side keeps paying for are at hop 1, everyone else >= 2.
-    const int reach = popcount(subset | kept_row);
-    const long long floor_sum = reach + 2LL * (n - 1 - reach);
-    // Evaluate the BFS only when the subset's best-case constraint could
-    // still tighten the window (floor_sum is a lower bound on the true
-    // distance sum, so these are sound prunes).
-    bool maybe_binding = false;
-    if (k_dev > k_cur) {
-      const rational best{dist_cur - floor_sum, k_dev - k_cur};
-      maybe_binding = compare(best, window.lo) > 0;
-    } else if (k_dev < k_cur) {
-      const rational best{floor_sum - dist_cur, k_cur - k_dev};
-      maybe_binding = window.hi.is_infinite() || compare(best, window.hi) < 0;
-    } else {
-      maybe_binding = floor_sum < dist_cur;
+  // A subset is worth a BFS only when its best-case constraint could still
+  // tighten the window. Its distance floor — bought and kept links at hop
+  // 1, everyone else >= 2 — depends on its size alone, because subsets
+  // never meet kept_row (reach = k_dev + |kept|). So the test is a bitmask
+  // of live sizes, recomputed only when the window tightens; the window
+  // only shrinks, so a dead size stays dead.
+  const auto live_sizes = [&] {
+    std::uint64_t live = 0;
+    for (int k_dev = 0; k_dev <= largest; ++k_dev) {
+      const int reach = k_dev + kept;
+      const long long floor_sum = reach + 2LL * (n - 1 - reach);
+      bool maybe_binding = false;
+      if (k_dev > k_cur) {
+        const rational best{dist_cur - floor_sum, k_dev - k_cur};
+        maybe_binding = compare(best, window.lo) > 0;
+      } else if (k_dev < k_cur) {
+        const rational best{floor_sum - dist_cur, k_cur - k_dev};
+        maybe_binding =
+            window.hi.is_infinite() || compare(best, window.hi) < 0;
+      } else {
+        maybe_binding = floor_sum < dist_cur;
+      }
+      if (maybe_binding) live |= bit(k_dev);
     }
-    if (maybe_binding) {
+    return live;
+  };
+
+  if (window.empty()) return alpha_interval::empty_interval();
+  std::uint64_t live = live_sizes();
+  std::uint64_t subset = candidates;
+  // Once no size is live, no later subset can move the window.
+  while (live != 0) {
+    const int k_dev = popcount(subset);
+    if (has_bit(live, k_dev)) {
       const auto [sum, unreached] =
           distance_sum_with_row(g, i, kept_row | subset);
       if (bfs_evaluations != nullptr) ++*bfs_evaluations;
+      bool tightened = false;
       if (unreached == 0) {
         if (k_dev > k_cur) {
           if (sum < dist_cur) {
@@ -193,6 +209,7 @@ alpha_interval player_content_interval(const graph& g, int i,
             if (compare(bound, window.lo) > 0) {
               window.lo = bound;
               window.lo_closed = true;
+              tightened = true;
             }
           }
         } else if (k_dev < k_cur) {
@@ -200,6 +217,7 @@ alpha_interval player_content_interval(const graph& g, int i,
           if (window.hi.is_infinite() || compare(bound, window.hi) < 0) {
             window.hi = bound;
             window.hi_closed = true;
+            tightened = true;
           }
         } else if (sum < dist_cur) {
           // Same link budget, strictly shorter distances: the deviation
@@ -207,8 +225,11 @@ alpha_interval player_content_interval(const graph& g, int i,
           return alpha_interval::empty_interval();
         }
       }
+      if (tightened) {
+        if (window.empty()) return alpha_interval::empty_interval();
+        live = live_sizes();
+      }
     }
-    if (window.empty()) return alpha_interval::empty_interval();
     if (subset == 0) break;
     subset = (subset - 1) & candidates;
   }
@@ -223,13 +244,12 @@ alpha_interval player_content_interval(const graph& g, int i,
 // warms up once per thread and every subsequent topology runs
 // allocation-free on the hot path.
 struct ucg_region_workspace::state {
+  single_flip_table flips;  // measured here when the caller has none
   std::vector<std::pair<int, int>> edges;           // (u, v), u < v
   std::vector<std::array<alpha_interval, 2>> buyer_window;  // per edge side
   std::vector<std::uint64_t> paid;                  // per-player paid mask
   std::vector<int> unassigned_incident;             // per-player countdown
-  std::vector<long long> base_distance;             // distsum_i(G)
   std::vector<rational> addition_lb;                // max single-add saving
-  std::vector<long long> severance;                 // [i*n+v] single-cut cost
   std::unordered_map<std::uint64_t, alpha_interval> content_memo;
   alpha_interval_set region;
 };
@@ -245,6 +265,7 @@ namespace {
 
 struct interval_search {
   const graph& g;
+  const single_flip_table& flips;
   ucg_region_workspace::state& s;
   long long player_intervals{0};
   long long orientations_tried{0};
@@ -266,20 +287,17 @@ struct interval_search {
     alpha_interval seed;
     seed.lo = s.addition_lb[static_cast<std::size_t>(i)];
     seed.lo_closed = seed.lo.num > 0;
-    const int n = g.order();
     for_each_bit(mask, [&](int v) {
-      const long long inc = s.severance[static_cast<std::size_t>(i * n + v)];
+      const long long inc = flips.at(i, v);
       if (inc < infinite_delta &&
           (seed.hi.is_infinite() || inc < seed.hi.num)) {
         seed.hi = rational::from_int(inc);
         seed.hi_closed = true;
       }
     });
-    const alpha_interval window =
-        seed.empty() ? alpha_interval::empty_interval()
-                     : player_content_interval(
-                           g, i, g.neighbors(i) & ~mask, popcount(mask),
-                           s.base_distance[static_cast<std::size_t>(i)], seed);
+    const alpha_interval window = player_content_interval(
+        g, i, g.neighbors(i) & ~mask, popcount(mask),
+        flips.base[static_cast<std::size_t>(i)], seed);
     s.content_memo.emplace(key, window);
     return window;
   }
@@ -334,8 +352,19 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
 ucg_region_result ucg_nash_alpha_region(const graph& g,
                                         const alpha_interval& within,
                                         ucg_region_workspace& scratch) {
+  single_flip_table& flips = scratch.state_->flips;
+  measure_single_flips(g, flips);
+  return ucg_nash_alpha_region(g, within, flips, scratch);
+}
+
+ucg_region_result ucg_nash_alpha_region(const graph& g,
+                                        const alpha_interval& within,
+                                        const single_flip_table& flips,
+                                        ucg_region_workspace& scratch) {
   expects(g.order() >= 1 && g.order() <= 16,
           "ucg_nash_alpha_region: guard n <= 16 (exact search)");
+  expects(flips.n == g.order(),
+          "ucg_nash_alpha_region: flip table of another order");
   region_search_counter().add(1);
   ucg_region_result result;
   if (g.order() == 1) {
@@ -343,7 +372,7 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
     result.region.add(within);
     return result;
   }
-  if (!is_connected(g) || within.empty()) return result;
+  if (!flips.connected || within.empty()) return result;
 
   const int n = g.order();
   ucg_region_workspace::state& s = *scratch.state_;
@@ -351,35 +380,22 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
   s.buyer_window.clear();
   s.content_memo.clear();
   s.region.clear();
-  interval_search search{g, s, 0, 0};
-  s.addition_lb.assign(static_cast<std::size_t>(n), rational{0, 1});
-  s.severance.assign(static_cast<std::size_t>(n) * n, infinite_delta);
-  s.base_distance.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    s.base_distance[static_cast<std::size_t>(v)] = distance_sum(g, v).sum;
-  }
-  // Single-flip deltas via the row-replacement BFS: toggling one of i's
-  // incident links only changes i's own row, so no graph copies and no
-  // re-derived base sums are needed (the stale reverse bit in the other
-  // endpoint's row cannot shorten any path from i).
-  const auto single_flip_sum = [&](int i, std::uint64_t row) {
-    return distance_sum_with_row(g, i, row);
-  };
+  interval_search search{g, flips, s, 0, 0};
 
   // Root window from the paper's fast checks, now as exact rationals:
   // every missing link must save BOTH endpoints at most alpha (additions
   // are unilateral), and every edge needs some endpoint whose severance
   // saving does not exceed alpha.
   alpha_interval root = within;
-  for (const auto& [u, v] : g.non_edges()) {
-    for (const auto& [a, b] : {std::pair{u, v}, std::pair{v, u}}) {
-      const auto [sum, unreached] =
-          single_flip_sum(a, g.neighbors(a) | bit(b));
-      ensures(unreached == 0, "ucg_nash_alpha_region: connected precondition");
-      const long long dec = s.base_distance[static_cast<std::size_t>(a)] - sum;
-      auto& lb = s.addition_lb[static_cast<std::size_t>(a)];
+  s.addition_lb.assign(static_cast<std::size_t>(n), rational{0, 1});
+  for (int a = 0; a < n; ++a) {
+    auto& lb = s.addition_lb[static_cast<std::size_t>(a)];
+    for_each_bit(g.vertex_mask() & ~bit(a) & ~g.neighbors(a), [&](int b) {
+      const long long dec = flips.at(a, b);
+      ensures(dec < infinite_delta,
+              "ucg_nash_alpha_region: connected precondition");
       if (dec > lb.num) lb = rational::from_int(dec);
-    }
+    });
   }
   for (const rational& lb : s.addition_lb) {
     // Any player's single-addition bound applies to every orientation.
@@ -398,15 +414,7 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
     rational loosest{0, 1};
     bool loosest_infinite = false;
     for (int side = 0; side < 2; ++side) {
-      const int buyer = side == 0 ? u : v;
-      const int other = side == 0 ? v : u;
-      const auto [sum, unreached] =
-          single_flip_sum(buyer, g.neighbors(buyer) & ~bit(other));
-      const long long inc =
-          unreached > 0
-              ? infinite_delta
-              : sum - s.base_distance[static_cast<std::size_t>(buyer)];
-      s.severance[static_cast<std::size_t>(buyer * n + other)] = inc;
+      const long long inc = side == 0 ? flips.at(u, v) : flips.at(v, u);
       if (inc < infinite_delta) {
         windows[static_cast<std::size_t>(side)].hi = rational::from_int(inc);
         if (!loosest_infinite && inc > loosest.num) {

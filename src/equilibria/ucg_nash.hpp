@@ -45,6 +45,8 @@
 
 namespace bnf {
 
+struct single_flip_table;  // equilibria/pairwise_stability.hpp
+
 struct ucg_nash_options {
   /// Abort knob for pathological instances (never hit for n <= 10).
   long long max_best_response_checks{1LL << 28};
@@ -94,8 +96,9 @@ struct ucg_region_result {
   long long orientations_tried{0};
 };
 /// Reusable scratch for the region search: the DFS state (edge windows,
-/// paid masks, the per-(player, paid-set) content-interval memo, and the
-/// region set under construction) lives in arenas owned by the workspace,
+/// paid masks, the per-(player, paid-set) content-interval memo, the
+/// region set under construction, and a single-flip table for callers
+/// that bring none) lives in arenas owned by the workspace,
 /// so a caller that profiles millions of topologies hands the SAME
 /// workspace to consecutive calls and pays the allocations once per
 /// thread instead of once per topology. Not thread-safe: one workspace
@@ -114,6 +117,10 @@ class ucg_region_workspace {
   friend ucg_region_result ucg_nash_alpha_region(const graph&,
                                                  const alpha_interval&,
                                                  ucg_region_workspace&);
+  friend ucg_region_result ucg_nash_alpha_region(const graph&,
+                                                 const alpha_interval&,
+                                                 const single_flip_table&,
+                                                 ucg_region_workspace&);
   std::unique_ptr<state> state_;
 };
 
@@ -125,10 +132,18 @@ class ucg_region_workspace {
 [[nodiscard]] ucg_region_result ucg_nash_alpha_region(
     const graph& g, const alpha_interval& within = {});
 /// Same search, reusing `scratch` across calls (per-thread scratch arenas
-/// for the census and streaming-curve loops).
+/// for the census and streaming-curve loops). Measures g's single-flip
+/// table into the workspace, then runs the overload below.
 [[nodiscard]] ucg_region_result ucg_nash_alpha_region(
     const graph& g, const alpha_interval& within,
     ucg_region_workspace& scratch);
+/// Same search on g's already measured single-flip table
+/// (equilibria/pairwise_stability.hpp): the root window and each player's
+/// severance and addition seeds are read from it, so a caller that also
+/// needs the BCG record measures every single-link toggle once.
+[[nodiscard]] ucg_region_result ucg_nash_alpha_region(
+    const graph& g, const alpha_interval& within,
+    const single_flip_table& flips, ucg_region_workspace& scratch);
 
 /// The Nash region as a single exact interval. For every graph the
 /// region search has been run against (exhaustively cross-validated for

@@ -29,10 +29,8 @@ int graph::size() const noexcept {
   return twice / 2;
 }
 
-std::uint64_t graph::vertex_mask() const noexcept { return low_bits(n_); }
-
-void graph::check_vertex(int v) const {
-  expects(v >= 0 && v < n_, "graph: vertex index out of range");
+void graph::vertex_out_of_range() {
+  throw precondition_error("graph: vertex index out of range");
 }
 
 void graph::check_pair(int u, int v) const {
@@ -63,16 +61,6 @@ bool graph::toggle_edge(int u, int v) {
   adj_[static_cast<std::size_t>(u)] ^= bit(v);
   adj_[static_cast<std::size_t>(v)] ^= bit(u);
   return has_bit(adj_[static_cast<std::size_t>(u)], v);
-}
-
-int graph::degree(int v) const {
-  check_vertex(v);
-  return popcount(adj_[static_cast<std::size_t>(v)]);
-}
-
-std::uint64_t graph::neighbors(int v) const {
-  check_vertex(v);
-  return adj_[static_cast<std::size_t>(v)];
 }
 
 graph graph::with_edge(int u, int v) const {

@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/bitops.hpp"
+
 namespace bnf {
 
 /// Largest supported vertex count.
@@ -37,8 +39,13 @@ class graph {
   [[nodiscard]] int order() const noexcept { return n_; }
   [[nodiscard]] int size() const noexcept;  // number of edges
 
+  // The accessors below sit on every BFS step, so they are inline; the
+  // bounds check stays, throwing from an out-of-line cold path.
+
   /// Mask of all vertices: bits 0..n-1.
-  [[nodiscard]] std::uint64_t vertex_mask() const noexcept;
+  [[nodiscard]] std::uint64_t vertex_mask() const noexcept {
+    return low_bits(n_);
+  }
 
   [[nodiscard]] bool has_edge(int u, int v) const;
   void add_edge(int u, int v);
@@ -46,9 +53,12 @@ class graph {
   /// Flip edge (u,v); returns true if the edge exists after the toggle.
   bool toggle_edge(int u, int v);
 
-  [[nodiscard]] int degree(int v) const;
+  [[nodiscard]] int degree(int v) const { return popcount(neighbors(v)); }
   /// Neighbour mask of v (bit w set iff edge (v,w) present).
-  [[nodiscard]] std::uint64_t neighbors(int v) const;
+  [[nodiscard]] std::uint64_t neighbors(int v) const {
+    check_vertex(v);
+    return adj_[static_cast<std::size_t>(v)];
+  }
 
   /// Copies with a single edge added/removed (no mutation).
   [[nodiscard]] graph with_edge(int u, int v) const;
@@ -88,7 +98,10 @@ class graph {
   friend bool operator==(const graph& a, const graph& b) = default;
 
  private:
-  void check_vertex(int v) const;
+  void check_vertex(int v) const {
+    if (v < 0 || v >= n_) [[unlikely]] vertex_out_of_range();
+  }
+  [[noreturn]] static void vertex_out_of_range();
   void check_pair(int u, int v) const;
 
   int n_{0};

@@ -296,8 +296,9 @@ inline constexpr const char* pool_parallel_sections =
     "thread_pool.parallel_sections";
 /// Instantaneous shared-pool queue depth (gauge; max = worst backlog).
 inline constexpr const char* pool_queue_depth = "thread_pool.queue_depth";
-/// Wall milliseconds per completed shard (histogram).
-inline constexpr const char* shard_wall_ms = "engine.shard_wall_ms";
+/// Wall microseconds per completed shard (histogram; microseconds so the
+/// sub-millisecond shards of small censuses still spread over buckets).
+inline constexpr const char* shard_wall_us = "engine.shard_wall_us";
 /// Topologies per completed shard (histogram; spread = shard skew).
 inline constexpr const char* shard_topologies = "engine.shard_topologies";
 }  // namespace names

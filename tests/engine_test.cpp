@@ -256,7 +256,7 @@ TEST(SinkTest, TimingFooterIsOptIn) {
                   .peak_rss_bytes = 1 << 20,
                   .metrics_json = "{\"x\":1}",
                   .shard_skew_json =
-                      "{\"shards\":128,\"wall_ms\":{\"min\":1,\"p50\":2.5,"
+                      "{\"shards\":128,\"wall_us\":{\"min\":1,\"p50\":2.5,"
                       "\"max\":9}}"});
   }
   const std::string with_timing = slurp(path);
@@ -266,7 +266,7 @@ TEST(SinkTest, TimingFooterIsOptIn) {
   EXPECT_NE(with_timing.find("\"shards\":128"), std::string::npos);
   EXPECT_NE(with_timing.find("\"peak_rss_bytes\":1048576"), std::string::npos);
   EXPECT_NE(with_timing.find("\"metrics\":{\"x\":1}"), std::string::npos);
-  EXPECT_NE(with_timing.find("\"shard_skew\":{\"shards\":128,\"wall_ms\":"
+  EXPECT_NE(with_timing.find("\"shard_skew\":{\"shards\":128,\"wall_us\":"
                              "{\"min\":1,\"p50\":2.5,\"max\":9}}"),
             std::string::npos);
 

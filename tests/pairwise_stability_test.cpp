@@ -8,6 +8,7 @@
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "graph/canonical.hpp"
+#include "graph/paths.hpp"
 #include "testing.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -218,6 +219,72 @@ INSTANTIATE_TEST_SUITE_P(Cycles, CycleWindowSuite,
 TEST(PairwiseStabilityTest, RequiresPositiveAlpha) {
   EXPECT_THROW((void)is_pairwise_stable(star(4), 0.0), precondition_error);
   EXPECT_THROW((void)is_pairwise_stable(star(4), -1.0), precondition_error);
+}
+
+/// Every entry of g's single-flip table against the graph-copying deltas,
+/// which share no code with the table's row-replacement BFS. Returns the
+/// number of bridge entries seen.
+int expect_table_matches_graph_copies(const graph& g) {
+  single_flip_table flips;
+  measure_single_flips(g, flips);
+  EXPECT_TRUE(flips.connected) << to_string(g);
+  EXPECT_EQ(flips.n, g.order());
+  EXPECT_EQ(flips.distance_total(), total_distance(g).sum) << to_string(g);
+  int bridges = 0;
+  for (int a = 0; a < g.order(); ++a) {
+    for (int b = 0; b < g.order(); ++b) {
+      if (a == b) continue;
+      const long long expected = g.has_edge(a, b)
+                                     ? edge_deletion_increase(g, a, b)
+                                     : edge_addition_decrease(g, a, b);
+      EXPECT_EQ(flips.at(a, b), expected)
+          << to_string(g) << " a=" << a << " b=" << b;
+      if (expected == infinite_delta) ++bridges;
+    }
+  }
+  return bridges;
+}
+
+TEST(SingleFlipTableTest, MatchesGraphCopyingDeltasOnEveryClassUpToN7) {
+  for (int n = 2; n <= 7; ++n) {
+    for_each_graph(
+        n, [](const graph& g) { (void)expect_table_matches_graph_copies(g); },
+        {.connected_only = true});
+  }
+}
+
+TEST(SingleFlipTableTest, MatchesGraphCopyingDeltasOnRandomGraphsUpToN16) {
+  rng random = testing::seeded_rng();
+  int bridges = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    bridges += expect_table_matches_graph_copies(
+        testing::random_connected(random, 8, 16));
+  }
+  EXPECT_GT(bridges, 0) << "the sample must exercise infinite_delta";
+}
+
+TEST(SingleFlipTableTest, RecordFromTheTableMatchesTheDefinition) {
+  single_flip_table flips;
+  for (const graph& g : testing::small_gallery()) {
+    measure_single_flips(g, flips);
+    const stability_record record = compute_stability_record(g, flips);
+    for (const double alpha : {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0}) {
+      EXPECT_EQ(record.stable_at(alpha), is_pairwise_stable(g, alpha))
+          << to_string(g) << " alpha=" << alpha;
+    }
+  }
+}
+
+TEST(SingleFlipTableTest, DisconnectedGraphsAreFlagged) {
+  single_flip_table flips;
+  const graph g(4, {{0, 1}, {2, 3}});
+  measure_single_flips(g, flips);
+  EXPECT_FALSE(flips.connected);
+  EXPECT_THROW((void)compute_stability_record(g, flips), precondition_error);
+  EXPECT_THROW((void)compute_stability_record(g), precondition_error);
+  measure_single_flips(path(5), flips);
+  EXPECT_THROW((void)compute_stability_record(path(4), flips),
+               precondition_error);
 }
 
 }  // namespace

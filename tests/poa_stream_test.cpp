@@ -6,14 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <exception>
+#include <future>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/report.hpp"
 #include "gen/enumerate.hpp"
+#include "obs/metrics.hpp"
 #include "testing.hpp"
 #include "util/contracts.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bnf {
 namespace {
@@ -92,6 +98,32 @@ TEST(PoaStreamTest, ThreadCountsProduceIdenticalBytes) {
   const poa_curve_summary four_2p =
       stream_poa_curve(6, {.threads = 4, .memory_budget = 0});
   expect_identical_summaries(one_2p, four_2p);
+}
+
+TEST(PoaStreamTest, NestedDispatchFromAPoolWorkerMatchesSerial) {
+  // Called from inside a pool worker, the kernel's dispatch runs inline
+  // (a nested dispatch waiting on the queue could deadlock): one worker
+  // claims every shard. Rows and the profiled-topology count must not
+  // notice.
+  const poa_curve_summary serial = stream_poa_curve(7, {.threads = 1});
+  obs::counter& profiled =
+      obs::get_counter(obs::names::topologies_profiled);
+  std::promise<std::pair<poa_curve_summary, std::uint64_t>> done;
+  auto result = done.get_future();
+  thread_pool::shared().submit([&] {
+    try {
+      EXPECT_TRUE(thread_pool::shared().on_worker_thread());
+      const std::uint64_t before = profiled.value();
+      poa_curve_summary nested = stream_poa_curve(7, {.threads = 4});
+      done.set_value({std::move(nested), profiled.value() - before});
+    } catch (...) {
+      done.set_exception(std::current_exception());
+    }
+  });
+  const auto [nested, topologies] = result.get();
+  EXPECT_EQ(topologies, known_connected_graph_counts[7]);
+  EXPECT_EQ(nested.profile_passes, 1);
+  expect_identical_summaries(serial, nested);
 }
 
 TEST(PoaStreamTest, RenderedTablesAreIdentical) {

@@ -1,5 +1,5 @@
 // Tests for the `bilatnet report` pipeline over the checked-in fixture
-// set (tests/data/report_fixture_*: a real n=5 poa-curve ledger with its
+// set (tests/data/report_fixture_*: a real n=7 poa-curve ledger with its
 // metrics and trace side files): ledger parsing, trace shard extraction,
 // skew tables, the generator funnel, scaling fits, and the diff verdicts
 // on doctored copies.
@@ -47,7 +47,8 @@ TEST(LedgerParseTest, ParsesSyntheticRecords) {
       R"({"type":"run","scenario":"toy","seed":9,"git":"g1",)"
       R"("params":{"n":"5","flag":"true"},"threads":2,"shards":16,)"
       R"("rows":3,"wall_s":1.5,"peak_rss_bytes":1048576,)"
-      R"("counters":{"a.b":7},"files":{"trace":"t.json"}})"
+      R"("counters":{"a.b":7},"files":{"trace":"t.json"},)"
+      R"("shard_skew":{"shards":16,"wall_us":{"min":64,"p50":90.5,"max":512}}})"
       "\n"
       R"({"type":"other-kind","scenario":"ignored","wall_s":0})"
       "\n"
@@ -69,6 +70,11 @@ TEST(LedgerParseTest, ParsesSyntheticRecords) {
   EXPECT_EQ(run.counter("a.b"), 7u);
   EXPECT_EQ(run.counter("absent"), 0u);
   EXPECT_EQ(run.trace_path, "t.json");
+  EXPECT_EQ(run.shard_wall.shards, 16u);
+  EXPECT_DOUBLE_EQ(run.shard_wall.min_us, 64.0);
+  EXPECT_DOUBLE_EQ(run.shard_wall.p50_us, 90.5);
+  EXPECT_DOUBLE_EQ(run.shard_wall.max_us, 512.0);
+  EXPECT_EQ(runs[1].shard_wall.shards, 0u) << "no shard_skew recorded";
   EXPECT_EQ(run.params_compact(), "n=5 flag=true");
   EXPECT_EQ(run.workload_key(), runs[1].workload_key())
       << "threads must not enter the workload key";
@@ -85,11 +91,29 @@ TEST(LedgerFixtureTest, RecordsTheRealRuns) {
     EXPECT_GT(run.rows, 0u);
     EXPECT_EQ(run.workload_key(), runs[0].workload_key());
   }
-  // n=5: 21 connected topologies, profiled once (the cache fits).
-  EXPECT_EQ(runs[0].counter(obs::names::topologies_profiled), 21u);
+  // n=7: 853 connected topologies, profiled once (the cache fits).
+  EXPECT_EQ(runs[0].counter(obs::names::topologies_profiled), 853u);
   EXPECT_EQ(runs[0].trace_path.empty(), false);
   EXPECT_EQ(runs[1].threads, 2);
   EXPECT_EQ(runs[2].threads, 4);
+}
+
+TEST(LedgerFixtureTest, ShardWallMicrosecondsSpreadAtSmallN) {
+  // n=7 shards take microseconds, not milliseconds: the footer's summary
+  // must still tell the fastest shard from the slowest.
+  const std::vector<ledger_record> runs = load_ledger(kLedger);
+  for (const ledger_record& run : runs) {
+    EXPECT_EQ(run.shard_wall.shards, run.shards);
+    EXPECT_LE(run.shard_wall.min_us, run.shard_wall.p50_us);
+    EXPECT_LE(run.shard_wall.p50_us, run.shard_wall.max_us);
+    EXPECT_GT(run.shard_wall.max_us, 0.0);
+  }
+  const text_table table = shard_wall_table(runs);
+  ASSERT_EQ(table.rows().size(), runs.size());
+  EXPECT_EQ(table.headers()[2], "min_us");
+  EXPECT_EQ(table.rows()[0][0], "1");
+  EXPECT_EQ(table.rows()[0][1], std::to_string(runs[0].shards));
+  EXPECT_TRUE(shard_wall_table({ledger_record{}}).rows().empty());
 }
 
 TEST(FunnelTest, RowsAreConsistentWithTheCounters) {
@@ -153,7 +177,7 @@ TEST(TraceShardsTest, ExtractsAndSummarizesSpans) {
 TEST(MetricsFixtureTest, HistogramsCarryInterpolatedEstimates) {
   const json_value metrics = json_value::parse(read_file(kMetrics, "test"));
   const json_value& histograms = metrics.at("metrics").at("histograms");
-  const json_value& shard_wall = histograms.at(obs::names::shard_wall_ms);
+  const json_value& shard_wall = histograms.at(obs::names::shard_wall_us);
   EXPECT_GT(shard_wall.at("count").as_uint(), 0u);
   // The interpolated estimates sit inside [min, max] and respect the raw
   // bucket-upper-bound percentiles.
@@ -248,6 +272,7 @@ TEST(ReportMainTest, RendersSkewFunnelAndScaling) {
   EXPECT_NE(text.find("run ledger:"), std::string::npos) << text;
   EXPECT_NE(text.find("orderly generator funnel"), std::string::npos) << text;
   EXPECT_NE(text.find("shard skew"), std::string::npos) << text;
+  EXPECT_NE(text.find("shard wall time"), std::string::npos) << text;
   EXPECT_NE(text.find("poa.pass1.shard"), std::string::npos) << text;
   EXPECT_NE(text.find("scaling:"), std::string::npos) << text;
   EXPECT_NE(text.find("fit: wall ~ threads^"), std::string::npos) << text;
