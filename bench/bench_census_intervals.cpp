@@ -9,7 +9,6 @@
 #include "analysis/census.hpp"
 #include "analysis/poa_curve.hpp"
 #include "analysis/sweep.hpp"
-#include "equilibria/ucg_nash.hpp"
 #include "gen/enumerate.hpp"
 #include "util/mem.hpp"
 #include "util/stopwatch.hpp"
@@ -29,10 +28,8 @@ int main() {
   const auto sparse = bnf::default_tau_grid(n);
   const auto dense = bnf::log_grid(0.53, 2.12 * n * n, 16);
 
-  const long long searches_before = bnf::ucg_nash_search_invocations();
   const double sparse_s = time_sweep(n, sparse);
   const double dense_s = time_sweep(n, dense);
-  const long long searches = bnf::ucg_nash_search_invocations() - searches_before;
 
   bnf::stopwatch curve_timer;
   const bnf::poa_curve_summary curve = bnf::stream_poa_curve(n);
@@ -45,7 +42,6 @@ int main() {
   std::printf("  \"dense_grid_points\": %zu,\n", dense.size());
   std::printf("  \"census_sparse_s\": %.3f,\n", sparse_s);
   std::printf("  \"census_dense_s\": %.3f,\n", dense_s);
-  std::printf("  \"per_alpha_nash_searches\": %lld,\n", searches);
   std::printf("  \"poa_curve_breakpoints\": %zu,\n", curve.breakpoints.size());
   std::printf("  \"poa_curve_s\": %.3f,\n", curve_s);
   std::printf("  \"peak_rss_bytes\": %llu\n",

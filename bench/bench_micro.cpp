@@ -150,7 +150,7 @@ BENCHMARK(BM_ParallelDispatchPersistent)
 void BM_ParallelDispatchSpawn(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    // lint:allow(raw-thread) this benchmark measures raw spawn cost as the baseline the shared pool is compared against
+    // analyze:allow(raw-thread) this benchmark measures raw spawn cost as the baseline the shared pool is compared against
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(workers));
     for (int w = 0; w < workers; ++w) pool.emplace_back([] {});

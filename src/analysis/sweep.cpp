@@ -15,7 +15,7 @@ std::vector<double> log_grid(double lo, double hi, int per_octave) {
   // Tolerate floating accumulation at the top end. This pad shapes the
   // double tau grid only — it never participates in a stability decision,
   // which all route through exact rationals.
-  // lint:allow(epsilon-literal) grid construction tolerance, not an alpha compare
+  // analyze:allow(epsilon-literal) grid construction tolerance, not an alpha compare
   while (value <= hi * (1.0 + 1e-12)) {
     grid.push_back(value);
     value *= step;

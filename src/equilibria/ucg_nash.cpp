@@ -16,13 +16,8 @@ namespace bnf {
 
 namespace {
 
-// Both search entry points count through the process-wide metrics registry;
-// the counter references are resolved once (registry lookup takes a mutex).
-obs::counter& nash_search_counter() {
-  static obs::counter& c = obs::get_counter(obs::names::nash_searches);
-  return c;
-}
-
+// The region search counts through the process-wide metrics registry; the
+// counter reference is resolved once (registry lookup takes a mutex).
 obs::counter& region_search_counter() {
   static obs::counter& c = obs::get_counter(obs::names::region_searches);
   return c;
@@ -455,10 +450,6 @@ alpha_interval ucg_nash_interval(const graph& g) {
   return result.region.parts().front();
 }
 
-long long ucg_nash_search_invocations() {
-  return static_cast<long long>(nash_search_counter().value());
-}
-
 double ucg_best_response_cost(const graph& g, double alpha, int i,
                               std::uint64_t paid) {
   expects(i >= 0 && i < g.order(), "ucg_best_response_cost: out of range");
@@ -496,7 +487,6 @@ ucg_nash_result ucg_nash_supportable(const graph& g, double alpha,
   expects(g.order() >= 1 && g.order() <= 16,
           "ucg_nash_supportable: guard n <= 16 (exact search)");
   expects(alpha > 0, "ucg_nash_supportable: requires alpha > 0");
-  nash_search_counter().add(1);
 
   ucg_nash_result result;
   if (!is_connected(g)) return result;

@@ -73,12 +73,6 @@ struct ucg_nash_result {
 [[nodiscard]] bool is_ucg_nash(const graph& g, double alpha,
                                const ucg_nash_options& options = {});
 
-/// Process-wide count of per-alpha Nash searches (ucg_nash_supportable /
-/// is_ucg_nash invocations). Interval-driven sweeps are expected to leave
-/// this untouched — the census tests snapshot it to prove the sweep never
-/// falls back to per-grid-point searches.
-[[nodiscard]] long long ucg_nash_search_invocations();
-
 /// The exact set of link costs at which g is Nash-supportable, computed by
 /// ONE parametric pass instead of per-alpha searches. Every deviation of
 /// every player is a line alpha * k_dev + dist_dev competing with the

@@ -265,10 +265,6 @@ inline constexpr const char* topologies_profiled =
 /// on).
 inline constexpr const char* region_searches =
     "equilibria.ucg.region_searches";
-/// Per-alpha Nash searches — the interval-driven sweeps pin the delta of
-/// this counter to ZERO (see tests/census_test.cpp).
-inline constexpr const char* nash_searches =
-    "equilibria.ucg.per_alpha_nash_searches";
 /// Orderly generator: candidate children built (post orbit/forest
 /// filters).
 inline constexpr const char* orderly_candidates = "gen.orderly.candidates";

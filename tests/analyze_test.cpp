@@ -1,9 +1,11 @@
-// The architecture analyzer is itself under test: every must-fail
-// fixture tree trips exactly its rule (and no other), the must-pass tree
-// (seams, allow-edges, rationale'd suppressions, checked_* arithmetic)
-// stays clean, the layer-cycle report names the cycle's edges, the JSON
-// report parses with util/json and is byte-identical across runs, and the
-// real src/ + tools/ tree is clean under the checked-in layers.txt.
+// The static analyzer is itself under test: every whole-program fail
+// fixture trips exactly its rule (and no other), the must-pass tree (seams,
+// allow-edges, rationale'd suppressions, checked_* arithmetic, blessed
+// line-local idioms) stays clean, the layer-cycle, det-taint and
+// forbid-reach reports name their edges, the JSON report parses with
+// util/json and is byte-identical across runs, and the real tree is clean
+// under the checked-in layers.txt. The line-local rules' fail fixtures run
+// in lint_test.
 //
 // Paths come in as compile definitions from CMake:
 //   BILATNET_ANALYZE_BIN       the bilatnet_analyze executable
@@ -11,45 +13,19 @@
 //   BILATNET_REPO_ROOT         the repository checkout
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "analyze_harness.hpp"
 #include "util/json.hpp"
 
 namespace {
 
-struct analyze_result {
-  int exit_code{-1};
-  std::string output;
-};
-
-analyze_result run_analyze(const std::string& args) {
-  const std::string command =
-      std::string(BILATNET_ANALYZE_BIN) + " " + args + " 2>&1";
-  analyze_result result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  std::array<char, 4096> buffer;
-  std::size_t got = 0;
-  while ((got = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
-    result.output.append(buffer.data(), got);
-  }
-  const int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
-}
-
-// Run over one fixture tree, which carries its own layers.txt.
-analyze_result run_fixture(const std::string& fixture,
-                           const std::string& extra = "") {
-  const std::string root =
-      std::string(BILATNET_ANALYZE_FIXTURES) + "/" + fixture;
-  return run_analyze("--root " + root + " --layers " + root + "/layers.txt " +
-                     extra + " " + root + "/src");
-}
+using bnf::testing::analyze_result;
+using bnf::testing::fixture_root;
+using bnf::testing::run_analyze;
+using bnf::testing::run_fixture;
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -58,38 +34,16 @@ std::string slurp(const std::string& path) {
   return text.str();
 }
 
-constexpr std::array<const char*, 5> all_rules = {
-    "layer-cycle", "layer-up", "det-taint", "exact-arith", "header-hygiene"};
-
 class AnalyzeFailFixture : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(AnalyzeFailFixture, TripsExactlyItsRule) {
-  const std::string rule = GetParam();
-  const analyze_result result = run_fixture("fail/" + rule);
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find("[" + rule + "]"), std::string::npos)
-      << "expected a [" << rule << "] violation, got:\n"
-      << result.output;
-  for (const char* other : all_rules) {
-    if (rule == other) continue;
-    EXPECT_EQ(result.output.find(std::string("[") + other + "]"),
-              std::string::npos)
-        << "fixture for " << rule << " also tripped " << other << ":\n"
-        << result.output;
-  }
+  bnf::testing::expect_trips_exactly(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllRules, AnalyzeFailFixture,
-    ::testing::Values("layer-cycle", "layer-up", "det-taint", "exact-arith",
-                      "header-hygiene"),
-    [](const ::testing::TestParamInfo<const char*>& param_info) {
-      std::string name = param_info.param;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+    ::testing::ValuesIn(bnf::testing::whole_program_rules),
+    bnf::testing::rule_param_name);
 
 // The cycle report must name the offending edges, not just a file.
 TEST(AnalyzeLayerCycle, ReportsTheCycleEdge) {
@@ -112,8 +66,37 @@ TEST(AnalyzeDetTaint, BareAllowIsInertAndChainIsReported) {
       << result.output;
 }
 
-// The pass tree exercises seams, the allow-edge, a rationale'd det-taint
-// suppression and checked_* arithmetic; all of it must stay silent.
+// The policy holds even through an `analyze:allow(*)` on the call line,
+// and the report names the whole chain back to the root.
+TEST(AnalyzeForbidReach, AllowIsInertAndChainIsReported) {
+  const analyze_result result = run_fixture("fail/forbid-reach");
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  EXPECT_NE(result.output.find("src/analysis/census.cpp:10: [forbid-reach]"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find(
+                "bnf::per_alpha_search <- bnf::helper <- bnf::census_root"),
+            std::string::npos)
+      << result.output;
+}
+
+// A renamed root or target must not make the policy vacuous.
+TEST(AnalyzeForbidReach, StaleNameIsAConfigurationError) {
+  const std::string root = fixture_root("fail/forbid-reach");
+  const std::string layers = ::testing::TempDir() + "stale_layers.txt";
+  std::ofstream(layers) << "layer analysis\n"
+                        << "forbid-reach bnf::census_root -> bnf::renamed\n";
+  const analyze_result result = run_analyze(
+      "--root " + root + " --layers " + layers + " " + root + "/src");
+  EXPECT_EQ(result.exit_code, 2) << result.output;
+  EXPECT_NE(result.output.find("'bnf::renamed' matches no indexed definition"),
+            std::string::npos)
+      << result.output;
+}
+
+// The pass tree exercises seams, the allow-edge, rationale'd suppressions,
+// checked_* arithmetic, a forbid-reach policy that holds and the blessed
+// line-local idioms; all of it must stay silent.
 TEST(AnalyzePassFixture, StaysClean) {
   const analyze_result result = run_fixture("pass");
   EXPECT_EQ(result.exit_code, 0) << result.output;
@@ -145,9 +128,9 @@ TEST(AnalyzeJsonReport, ParsesAndIsByteIdenticalAcrossRuns) {
   EXPECT_GT(v.at("line").as_int(), 0);
 }
 
-// The real tree is architecture-clean under the checked-in layers.txt —
-// and deterministically so.
-TEST(AnalyzeRealTree, SrcAndToolsAreClean) {
+// The real tree (src/, tools/, bench/, examples/ by default) is clean
+// under the checked-in layers.txt — and deterministically so.
+TEST(AnalyzeRealTree, SrcToolsBenchAndExamplesAreClean) {
   const std::string root = BILATNET_REPO_ROOT;
   const std::string json_a = ::testing::TempDir() + "analyze_real_a.json";
   const std::string json_b = ::testing::TempDir() + "analyze_real_b.json";
@@ -155,7 +138,7 @@ TEST(AnalyzeRealTree, SrcAndToolsAreClean) {
                            "/tools/analyze/layers.txt";
   const analyze_result first = run_analyze(args + " --json " + json_a);
   EXPECT_EQ(first.exit_code, 0)
-      << "src/ or tools/ violates the declared architecture:\n"
+      << "the real tree violates a rule:\n"
       << first.output;
   const analyze_result second = run_analyze(args + " --json " + json_b);
   EXPECT_EQ(first.output, second.output);
@@ -169,7 +152,10 @@ TEST(AnalyzeRealTree, SrcAndToolsAreClean) {
 TEST(AnalyzeCli, ListRulesNamesEveryRule) {
   const analyze_result result = run_analyze("--list-rules");
   EXPECT_EQ(result.exit_code, 0);
-  for (const char* rule : all_rules) {
+  for (const char* rule : bnf::testing::whole_program_rules) {
+    EXPECT_NE(result.output.find(rule), std::string::npos) << rule;
+  }
+  for (const char* rule : bnf::testing::line_local_rules) {
     EXPECT_NE(result.output.find(rule), std::string::npos) << rule;
   }
 }

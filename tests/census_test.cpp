@@ -160,18 +160,6 @@ TEST(CensusTest, ProfilesCarryBothGamesExactIntervals) {
   }
 }
 
-TEST(CensusTest, SweepNeverRunsPerAlphaNashSearches) {
-  // The interval-driven sweep performs ONE stability analysis per
-  // topology; the per-alpha orientation search must not run at all (the
-  // acceptance bar is "at most once per topology" — this pins zero).
-  const auto taus = default_tau_grid(7);
-  const long long before = ucg_nash_search_invocations();
-  const auto points = census_sweep(7, taus, {.include_ucg = true});
-  const long long after = ucg_nash_search_invocations();
-  EXPECT_EQ(after - before, 0);
-  EXPECT_EQ(points.size(), taus.size());
-}
-
 TEST(CensusTest, DefaultGridCountsMatchBruteForceAfterEpsRemoval) {
   // Guard for deleting the census's ucg_filter_eps slack: on the default
   // tau grids the exact interval census and the eps-tolerant per-alpha

@@ -1,120 +1,48 @@
-// The linter itself is under test: every must-fail fixture tree must
-// trip exactly its rule, the must-pass tree (blessed directories,
-// suppressions, scrubbed comments/strings) must stay silent, and the real
-// src/ tree must be invariant-clean so tier-1 catches regressions the
-// moment they are introduced.
+// The analyzer's line-local rules (exactness literals, unordered iteration,
+// blessed homes for randomness, threads and exit, obs::names metric
+// lookups) are under test here: every must-fail fixture tree trips exactly
+// its rule and no other, and bench/ and examples/ are in the scan scope.
+// The pass tree, the real-tree scan and --list-rules run in analyze_test.
 //
 // Paths come in as compile definitions from CMake:
-//   BILATNET_LINT_BIN       the bilatnet_lint executable
-//   BILATNET_LINT_FIXTURES  tools/lint/fixtures
-//   BILATNET_REPO_ROOT      the repository checkout
+//   BILATNET_ANALYZE_BIN       the bilatnet_analyze executable
+//   BILATNET_ANALYZE_FIXTURES  tools/analyze/fixtures
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdio>
 #include <string>
+
+#include "analyze_harness.hpp"
 
 namespace {
 
-struct lint_result {
-  int exit_code{-1};
-  std::string output;
-};
-
-// Run the linter over `tree` (a fixture root that mimics the repo layout)
-// and capture combined stdout+stderr.
-lint_result run_lint(const std::string& root, const std::string& paths) {
-  const std::string command = std::string(BILATNET_LINT_BIN) + " --root " +
-                              root + " " + paths + " 2>&1";
-  lint_result result;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return result;
-  std::array<char, 4096> buffer;
-  std::size_t got = 0;
-  while ((got = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
-    result.output.append(buffer.data(), got);
-  }
-  const int status = pclose(pipe);
-  result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return result;
-}
-
-lint_result run_lint_fixture(const std::string& fixture) {
-  const std::string root =
-      std::string(BILATNET_LINT_FIXTURES) + "/" + fixture;
-  return run_lint(root, root + "/src");
-}
+using bnf::testing::analyze_result;
 
 class LintFailFixture : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(LintFailFixture, TripsItsRule) {
-  const std::string rule = GetParam();
-  const lint_result result = run_lint_fixture("fail/" + rule);
-  EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find("[" + rule + "]"), std::string::npos)
-      << "expected a [" << rule << "] violation, got:\n"
-      << result.output;
+TEST_P(LintFailFixture, TripsExactlyItsRule) {
+  bnf::testing::expect_trips_exactly(GetParam());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllRules, LintFailFixture,
-    ::testing::Values("epsilon-literal", "float-alpha-compare",
-                      "unordered-iteration", "raw-random", "raw-thread",
-                      "metric-name-literal", "raw-exit", "counter-bypass"),
-    [](const ::testing::TestParamInfo<const char*>& param_info) {
-      std::string name = param_info.param;
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
-
-TEST(LintPassFixture, StaysSilent) {
-  const lint_result result = run_lint_fixture("pass");
-  EXPECT_EQ(result.exit_code, 0) << result.output;
-  EXPECT_TRUE(result.output.empty()) << result.output;
-}
+INSTANTIATE_TEST_SUITE_P(AllRules, LintFailFixture,
+                         ::testing::ValuesIn(bnf::testing::line_local_rules),
+                         bnf::testing::rule_param_name);
 
 // bench/ and examples/ are in the scan scope (not just src/): drivers
 // with ad-hoc entropy or literal metric names drift exactly like library
 // code would.
 TEST(LintBenchScopeFixture, BenchAndExamplesAreScanned) {
-  const std::string root =
-      std::string(BILATNET_LINT_FIXTURES) + "/fail/bench-scope";
-  const lint_result result =
-      run_lint(root, root + "/bench " + root + "/examples");
+  const std::string root = bnf::testing::fixture_root("fail/bench-scope");
+  const analyze_result result = bnf::testing::run_analyze(
+      "--root " + root + " --layers " + root + "/layers.txt " + root +
+      "/bench " + root + "/examples");
   EXPECT_EQ(result.exit_code, 1) << result.output;
-  EXPECT_NE(result.output.find("bench/bad_bench_entropy.cpp"),
+  EXPECT_NE(result.output.find("bench/bad_bench_entropy.cpp:9: [raw-random]"),
             std::string::npos)
       << result.output;
-  EXPECT_NE(result.output.find("[raw-random]"), std::string::npos)
-      << result.output;
-  EXPECT_NE(result.output.find("examples/bad_example_metric.cpp"),
+  EXPECT_NE(result.output.find(
+                "examples/bad_example_metric.cpp:8: [metric-name-literal]"),
             std::string::npos)
       << result.output;
-  EXPECT_NE(result.output.find("[metric-name-literal]"), std::string::npos)
-      << result.output;
-}
-
-TEST(LintRealTree, SrcIsInvariantClean) {
-  const std::string root = BILATNET_REPO_ROOT;
-  const lint_result result = run_lint(
-      root, root + "/src " + root + "/bench " + root + "/examples");
-  EXPECT_EQ(result.exit_code, 0)
-      << "src/, bench/ or examples/ violates a repo invariant:\n"
-      << result.output;
-}
-
-TEST(LintCli, ListRulesNamesEveryRule) {
-  const lint_result result =
-      run_lint(BILATNET_REPO_ROOT, "--list-rules");
-  EXPECT_EQ(result.exit_code, 0);
-  for (const char* rule :
-       {"epsilon-literal", "float-alpha-compare", "unordered-iteration",
-        "raw-random", "raw-thread", "metric-name-literal", "raw-exit",
-        "counter-bypass"}) {
-    EXPECT_NE(result.output.find(rule), std::string::npos) << rule;
-  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <vector>
 
 #include "equilibria/pairwise_stability.hpp"
 #include "gen/enumerate.hpp"
@@ -41,13 +43,22 @@ TEST(PairwiseNashTest, DisconnectedIsNotPairwiseNash) {
 
 TEST(PairwiseNashTest, Proposition1EquivalenceExhaustive) {
   // Prop 1: pairwise stable <=> pairwise Nash in the BCG. Verified on all
-  // connected graphs on 5 and 6 vertices over a grid including integer
-  // boundary values.
-  const double alphas[] = {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0};
+  // connected graphs on 5 and 6 vertices over a fixed grid plus each
+  // graph's own stability-record boundaries and their midpoint: the
+  // open/closed boundary conventions are where the two checks could
+  // disagree.
+  const double grid[] = {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0};
   for (const int n : {5, 6}) {
     for_each_graph(
         n,
         [&](const graph& g) {
+          const stability_record record = compute_stability_record(g);
+          std::vector<double> alphas(std::begin(grid), std::end(grid));
+          if (record.alpha_min > 0) alphas.push_back(record.alpha_min);
+          if (std::isfinite(record.alpha_max)) {
+            alphas.push_back(record.alpha_max);
+            alphas.push_back((record.alpha_min + record.alpha_max) / 2);
+          }
           for (const double alpha : alphas) {
             ASSERT_EQ(is_pairwise_stable(g, alpha),
                       is_pairwise_nash(g, alpha))

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
@@ -114,6 +116,85 @@ TEST(PairwiseStabilityTest, IntervalMatchesDirectCheckExhaustively) {
         }
       },
       {.connected_only = true});
+}
+
+/// Naive BCG oracle, sharing no code with graph/paths or
+/// pairwise_stability.cpp: an adjacency-matrix copy of g, a plain BFS per
+/// single-link toggle, and Definition 3 read off as one half-line of link
+/// costs per link, intersected.
+alpha_interval naive_bcg_interval(const graph& g) {
+  const int n = g.order();
+  const auto order = static_cast<std::size_t>(n);
+  std::vector<std::vector<char>> adj(order, std::vector<char>(order));
+  for (int a = 0; a < n; ++a) {
+    for (int b = 0; b < n; ++b) adj[a][b] = a != b && g.has_edge(a, b);
+  }
+  // Sum of x's hop distances with the link (u, v) toggled (u == v: as
+  // is); -1 when x no longer reaches every vertex.
+  const auto distance_sum = [&](int x, int u, int v) {
+    const auto toggle = [&] {
+      if (u != v) adj[u][v] = adj[v][u] = static_cast<char>(!adj[u][v]);
+    };
+    toggle();
+    std::vector<int> dist(order, -1);
+    std::vector<int> queue{x};
+    dist[x] = 0;
+    long long sum = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const int y = queue[head];
+      sum += dist[y];
+      for (int z = 0; z < n; ++z) {
+        if (adj[y][z] && dist[z] < 0) {
+          dist[z] = dist[y] + 1;
+          queue.push_back(z);
+        }
+      }
+    }
+    toggle();
+    return static_cast<int>(queue.size()) == n ? sum : -1;
+  };
+  alpha_interval window{rational::from_int(0), rational::infinity(), false,
+                        false};
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      if (adj[u][v]) {
+        // Severing: x strictly gains iff alpha > its increase, so
+        // stability needs alpha <= increase. A bridge binds nobody.
+        for (const int x : {u, v}) {
+          const long long cut = distance_sum(x, u, v);
+          if (cut < 0) continue;
+          const long long increase = cut - distance_sum(x, x, x);
+          window = window.intersect({rational::from_int(0),
+                                     rational::from_int(increase), false,
+                                     true});
+        }
+      } else {
+        // Adding blocks iff one endpoint strictly gains and the other
+        // weakly gains, i.e. alpha < min(du, dv) or alpha == min < max:
+        // the bound is closed exactly when du == dv.
+        const long long du = distance_sum(u, u, u) - distance_sum(u, u, v);
+        const long long dv = distance_sum(v, v, v) - distance_sum(v, u, v);
+        window = window.intersect({rational::from_int(std::min(du, dv)),
+                                   rational::infinity(), du == dv, false});
+      }
+    }
+  }
+  return window;
+}
+
+TEST(PairwiseStabilityTest, NaiveOracleMatchesTheIntervalOnEveryClassUpToN7) {
+  for (int n = 2; n <= 7; ++n) {
+    for_each_graph(
+        n,
+        [](const graph& g) {
+          const alpha_interval naive = naive_bcg_interval(g);
+          const alpha_interval got =
+              to_alpha_interval(compute_stability_record(g));
+          EXPECT_EQ(got, naive) << to_string(g) << ": " << to_string(got)
+                                << " vs naive " << to_string(naive);
+        },
+        {.connected_only = true});
+  }
 }
 
 TEST(PairwiseStabilityTest, OctahedronBoundaryCase) {

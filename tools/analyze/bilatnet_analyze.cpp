@@ -1,13 +1,11 @@
-// bilatnet_analyze — whole-program architecture & determinism analyzer.
+// bilatnet_analyze — the repo's static-analysis tool.
 //
-// bilatnet_lint (tools/lint) polices single statements; this tool checks
-// the properties that only exist at whole-program scope: the layer
-// structure of src/ and the *reachability* of non-deterministic sources
-// from the code paths that emit result bytes. It is a lightweight
-// token-level C++ indexer (std-only, no libclang) that extracts the
-// `#include` graph and a per-function call graph (qualified-name
-// heuristic resolution — good enough for this tree's idioms), then runs
-// four passes:
+// Generic tools (clang-tidy, TSan) cannot know which guarantees this
+// codebase stakes its results on, so this tool encodes them. It is a
+// lightweight token-level C++ indexer (std-only, no libclang) that
+// extracts the `#include` graph and a per-function call graph
+// (qualified-name heuristic resolution — good enough for this tree's
+// idioms) over src/ + tools/, and runs these whole-program passes:
 //
 //   layer-cycle      the resolved include graph must be acyclic; a cycle
 //                    is reported with its full edge path.
@@ -26,9 +24,7 @@
 //                    formatting) taint their transitive CALLERS; the
 //                    build fails if taint reaches any function defined in
 //                    a `sink` file (the result_sink writers, the run
-//                    driver, analysis/report*) — upgrading the PR-2/PR-5
-//                    byte-identity promise from "tests happened to catch
-//                    it" to "statically unreachable".
+//                    driver, analysis/report*).
 //   exact-arith      raw +/-/* on rational num/den components outside
 //                    util/rational.cpp's checked_add/checked_mul helpers
 //                    is an error in the exactness directories (the
@@ -36,15 +32,27 @@
 //   header-hygiene   headers carry #pragma once, local includes are
 //                    dir-qualified ("util/x.hpp", never "x.hpp"), and a
 //                    .cpp includes its own header first.
+//   forbid-reach     no call chain from a `forbid-reach` root in
+//                    layers.txt reaches one of its targets (the census
+//                    never runs a per-alpha Nash search). Like det-taint it
+//                    does not follow stored function pointers or noisy-name
+//                    member calls (see collect_calls).
+//
+// Line-local rules run over src/, bench/ and examples/ (`--list-rules`
+// gives each scope): epsilon-literal and float-alpha-compare keep the
+// exactness directories free of float tolerances, unordered-iteration
+// keeps sink-feeding paths ordered, raw-random, raw-thread and raw-exit
+// keep entropy, threads and process exit in their blessed homes, and
+// metric-name-literal routes metric names through obs::names.
 //
 // Suppression: `// analyze:allow(<rule-id>) <rationale>` (comma-separated
-// ids or `*`) on the offending line or the line directly above. Unlike
-// lint:allow, the rationale text is REQUIRED — a bare allow is ignored.
+// ids or `*`) on the offending line or the line directly above. The
+// rationale text is REQUIRED — a bare allow is ignored.
 // For det-taint the suppression may sit on a source line (kills that
 // source), on a call/mention line (severs those call edges), or on a
 // function's definition line (the function is a vetted barrier: taint
-// neither starts in nor propagates through it). layer-cycle is never
-// suppressible.
+// neither starts in nor propagates through it). layer-cycle and
+// forbid-reach are never suppressible.
 //
 // Output is deterministic by construction: files and violations are
 // sorted, no timestamps, no absolute paths. `--json <path>` additionally
@@ -55,11 +63,12 @@
 //                         [--list-rules] [paths...]
 //   --root DIR     repo root for rule-scoping relative paths (default:
 //                  current directory)
-//   --layers FILE  layer/sink/exact configuration (default:
+//   --layers FILE  layer/sink/exact/forbid-reach configuration (default:
 //                  <root>/tools/analyze/layers.txt)
-//   paths          files or directories to scan (default: <root>/src and
-//                  <root>/tools, skipping */fixtures/*)
-// Exit status: 0 clean, 1 violations, 2 usage or I/O errors.
+//   paths          files or directories to scan (default: <root>/src,
+//                  tools, bench and examples, skipping */fixtures/*)
+// Exit status: 0 clean, 1 violations, 2 usage, I/O or configuration
+// errors.
 
 #include <algorithm>
 #include <cctype>
@@ -798,6 +807,11 @@ struct layer_config {
   std::vector<allow_edge> allows;
   std::vector<std::string> sinks;  // rel-path prefixes
   std::vector<std::string> exact;  // rel-path prefixes
+  struct forbid_reach {
+    std::vector<std::string> roots;    // function names
+    std::vector<std::string> targets;
+  };
+  std::vector<forbid_reach> forbids;
 };
 
 bool parse_layers_file(const fs::path& path, layer_config& cfg,
@@ -852,6 +866,24 @@ bool parse_layers_file(const fs::path& path, layer_config& cfg,
     } else if (keyword == "exact") {
       std::string prefix;
       while (words >> prefix) cfg.exact.push_back(prefix);
+    } else if (keyword == "forbid-reach") {
+      layer_config::forbid_reach rule;
+      std::vector<std::string>* side = &rule.roots;
+      std::string name;
+      while (words >> name) {
+        if (name == "->" && side == &rule.roots) {
+          side = &rule.targets;
+        } else {
+          side->push_back(name);
+        }
+      }
+      if (rule.roots.empty() || rule.targets.empty()) {
+        error = "malformed `forbid-reach` (want: forbid-reach ROOT... -> "
+                "TARGET...) at line " +
+                std::to_string(line_no);
+        return false;
+      }
+      cfg.forbids.push_back(std::move(rule));
     } else {
       error = "unknown directive '" + keyword + "' at line " +
               std::to_string(line_no);
@@ -1057,11 +1089,46 @@ struct source_hit {
   std::size_t line;
 };
 
+// Unseeded entropy: det-taint's rand-entropy source and the raw-random rule.
+const std::regex& entropy_re() {
+  static const std::regex re(R"(std::random_device|\bs?rand\s*\(|\btime\s*\()");
+  return re;
+}
+
+// (line index, name) of every range-for or begin() over a name declared in
+// this file with an unordered container as its OUTERMOST type (iterating
+// a vector<unordered_map<...>> walks the vector, which is fine).
+// Declarations are matched on a single scrubbed line. det-taint's
+// unordered-iter source and the unordered-iteration rule.
+std::vector<std::pair<std::size_t, std::string>> unordered_iterations(
+    const source_file& file) {
+  static const std::regex decl_re(
+      R"((?:^\s*|[;{(]\s*|\bstatic\s+|\bconst\s+)std::unordered_(?:map|set)\s*<)");
+  static const std::regex name_re(R"(>\s*&?\s*([A-Za-z_]\w*)\s*[({=;,)])");
+  std::vector<std::string> names;
+  for (const source_line& line : file.lines) {
+    std::smatch m;
+    if (std::regex_search(line.code, decl_re) &&
+        std::regex_search(line.code, m, name_re)) {
+      names.push_back(m[1].str());
+    }
+  }
+  std::vector<std::pair<std::size_t, std::string>> hits;
+  for (std::size_t i = 0; i < file.lines.size() && !names.empty(); ++i) {
+    for (const std::string& name : names) {
+      const std::regex iter_re(":\\s*" + name + "\\s*\\)|\\b" + name +
+                               "\\s*\\.\\s*c?begin\\s*\\(");
+      if (std::regex_search(file.lines[i].code, iter_re)) {
+        hits.emplace_back(i, name);
+      }
+    }
+  }
+  return hits;
+}
+
 // Non-deterministic source patterns. Checked per scrubbed code line except
 // where noted; hits outside any function body are inert (type aliases).
 std::vector<source_hit> find_source_hits(const source_file& file) {
-  static const std::regex rand_re(
-      R"(std::random_device|\bs?rand\s*\(|\btime\s*\()");
   static const std::regex clock_re(
       R"(::now\s*\(|\bsteady_clock\s*\(|\bsystem_clock\s*\(|high_resolution_clock)");
   static const std::regex thread_id_re(R"(this_thread::get_id|\bgettid\s*\()");
@@ -1076,7 +1143,7 @@ std::vector<source_hit> find_source_hits(const source_file& file) {
     const auto add = [&](const char* kind) {
       if (!suppressed(file, i, "det-taint")) hits.push_back({kind, i + 1});
     };
-    if (std::regex_search(code, rand_re)) add("rand-entropy");
+    if (std::regex_search(code, entropy_re())) add("rand-entropy");
     if (std::regex_search(code, clock_re)) add("clock-read");
     if (std::regex_search(code, thread_id_re)) add("thread-id");
     if (std::regex_search(code, ptr_re)) add("ptr-format");
@@ -1085,29 +1152,9 @@ std::vector<source_hit> find_source_hits(const source_file& file) {
       add("proc-read");
     }
   }
-  // Iteration over a name declared with an unordered container as its
-  // outermost type (same heuristic as bilatnet_lint, file-scoped).
-  static const std::regex decl_re(
-      R"((?:^\s*|[;{(]\s*|\bstatic\s+|\bconst\s+)std::unordered_(?:map|set)\s*<)");
-  static const std::regex name_re(R"(>\s*&?\s*([A-Za-z_]\w*)\s*[({=;,)])");
-  std::vector<std::string> unordered_names;
-  for (const source_line& line : file.lines) {
-    if (!std::regex_search(line.code, decl_re)) continue;
-    std::smatch m;
-    if (std::regex_search(line.code, m, name_re)) {
-      unordered_names.push_back(m[1].str());
-    }
-  }
-  for (std::size_t i = 0; i < file.lines.size() && !unordered_names.empty();
-       ++i) {
-    const std::string& code = file.lines[i].code;
-    for (const std::string& name : unordered_names) {
-      const std::regex iter_re(":\\s*" + name + "\\s*\\)|\\b" + name +
-                               "\\s*\\.\\s*c?begin\\s*\\(");
-      if (std::regex_search(code, iter_re) &&
-          !suppressed(file, i, "det-taint")) {
-        hits.push_back({"unordered-iter", i + 1});
-      }
+  for (const auto& [i, name] : unordered_iterations(file)) {
+    if (!suppressed(file, i, "det-taint")) {
+      hits.push_back({"unordered-iter", i + 1});
     }
   }
   std::sort(hits.begin(), hits.end(),
@@ -1125,11 +1172,20 @@ struct taint_info {
   int pred{-1};  // callee we were tainted through
 };
 
-void pass_det_taint(const std::vector<source_file>& files,
-                    std::vector<func_info>& funcs, const layer_config& cfg,
-                    std::size_t& call_edge_count,
-                    std::vector<violation>& out) {
-  // Name resolution tables.
+struct call_edge {
+  int caller;
+  int callee;
+  std::size_t line;  // of the call / mention in the caller
+};
+
+// `q` names function `name` ("ns::f" matches "ns::f" and "bnf::ns::f").
+bool names_function(const std::string& q, const std::string& name) {
+  return q == name || q.ends_with("::" + name);
+}
+
+// Every resolved call edge, in caller order: plain and qualified calls by
+// name, and class-name mentions as edges to that class's constructors.
+std::vector<call_edge> build_call_edges(const std::vector<func_info>& funcs) {
   std::multimap<std::string, int> by_name;
   std::map<std::string, std::vector<int>> ctors;
   for (std::size_t f = 0; f < funcs.size(); ++f) {
@@ -1147,34 +1203,41 @@ void pass_det_taint(const std::vector<source_file>& files,
         targets.push_back(it->second);
         continue;
       }
-      const std::string suffix = c.qualifier + "::" + c.name;
-      const std::string& q = funcs[static_cast<std::size_t>(it->second)]
-                                 .qualified;
-      if (q == suffix || q.ends_with("::" + suffix)) {
+      if (names_function(funcs[static_cast<std::size_t>(it->second)].qualified,
+                         c.qualifier + "::" + c.name)) {
         targets.push_back(it->second);
       }
     }
     return targets;
   };
-
-  // Reverse call edges: callee -> (caller, call line).
-  std::vector<std::vector<std::pair<int, std::size_t>>> rev(funcs.size());
-  call_edge_count = 0;
+  std::vector<call_edge> edges;
   for (std::size_t f = 0; f < funcs.size(); ++f) {
-    const source_file& file = files[static_cast<std::size_t>(funcs[f].file)];
     const auto wire = [&](const call_site& c, const std::vector<int>& targets) {
-      if (targets.empty()) return;
-      if (suppressed(file, c.line - 1, "det-taint")) return;
       for (const int target : targets) {
-        rev[static_cast<std::size_t>(target)].push_back(
-            {static_cast<int>(f), c.line});
-        ++call_edge_count;
+        edges.push_back({static_cast<int>(f), target, c.line});
       }
     };
     for (const call_site& c : funcs[f].calls) wire(c, resolve(c));
     for (const call_site& c : funcs[f].mentions) {
       const auto it = ctors.find(c.name);
       if (it != ctors.end()) wire(c, it->second);
+    }
+  }
+  return edges;
+}
+
+void pass_det_taint(const std::vector<source_file>& files,
+                    const std::vector<func_info>& funcs,
+                    const std::vector<call_edge>& edges,
+                    const layer_config& cfg, std::vector<violation>& out) {
+  // Reverse call edges (callee -> callers), minus the ones a det-taint
+  // allow on the call line severs.
+  std::vector<std::vector<int>> rev(funcs.size());
+  for (const call_edge& e : edges) {
+    const func_info& caller = funcs[static_cast<std::size_t>(e.caller)];
+    if (!suppressed(files[static_cast<std::size_t>(caller.file)], e.line - 1,
+                    "det-taint")) {
+      rev[static_cast<std::size_t>(e.callee)].push_back(e.caller);
     }
   }
 
@@ -1199,8 +1262,7 @@ void pass_det_taint(const std::vector<source_file>& files,
         }
       }
       if (best < 0) continue;  // outside any body: alias/using declarations
-      func_info& f = funcs[static_cast<std::size_t>(best)];
-      if (f.sanitized) continue;
+      if (funcs[static_cast<std::size_t>(best)].sanitized) continue;
       if (taint[static_cast<std::size_t>(best)].tainted) continue;
       taint[static_cast<std::size_t>(best)] =
           {true, hit.kind, files[fi].rel, hit.line, -1};
@@ -1209,8 +1271,7 @@ void pass_det_taint(const std::vector<source_file>& files,
   }
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const int g = queue[head];
-    for (const auto& [caller, line] : rev[static_cast<std::size_t>(g)]) {
-      (void)line;
+    for (const int caller : rev[static_cast<std::size_t>(g)]) {
       if (taint[static_cast<std::size_t>(caller)].tainted) continue;
       if (funcs[static_cast<std::size_t>(caller)].sanitized) continue;
       const taint_info& from = taint[static_cast<std::size_t>(g)];
@@ -1239,6 +1300,75 @@ void pass_det_taint(const std::vector<source_file>& files,
              "); sever the edge or add `// analyze:allow(det-taint) "
              "<rationale>`"});
   }
+}
+
+// --------------------------------------------------------------------------
+// Forbidden reachability: forward BFS from each root definition over every
+// call edge (suppressions do not apply). Returns false, with `error` set,
+// when a configured name matches no indexed definition — a rename must not
+// make the policy vacuous.
+// --------------------------------------------------------------------------
+
+bool pass_forbid_reach(const std::vector<source_file>& files,
+                       const std::vector<func_info>& funcs,
+                       const std::vector<call_edge>& edges,
+                       const layer_config& cfg, std::vector<violation>& out,
+                       std::string& error) {
+  std::vector<std::vector<int>> callees(funcs.size());
+  for (const call_edge& e : edges) {
+    callees[static_cast<std::size_t>(e.caller)].push_back(e.callee);
+  }
+  const auto definitions = [&](const std::string& name,
+                               std::vector<int>& found) {
+    for (std::size_t f = 0; f < funcs.size(); ++f) {
+      if (names_function(funcs[f].qualified, name)) {
+        found.push_back(static_cast<int>(f));
+      }
+    }
+    if (found.empty()) {
+      error = "forbid-reach: '" + name + "' matches no indexed definition";
+    }
+    return !found.empty();
+  };
+  for (const layer_config::forbid_reach& rule : cfg.forbids) {
+    std::vector<int> roots;
+    std::vector<int> targets;
+    for (const std::string& name : rule.roots) {
+      if (!definitions(name, roots)) return false;
+    }
+    for (const std::string& name : rule.targets) {
+      if (!definitions(name, targets)) return false;
+    }
+    for (const int root : roots) {
+      std::vector<int> pred(funcs.size(), -2);  // -2 unreached, -1 root
+      std::vector<int> queue{root};
+      pred[static_cast<std::size_t>(root)] = -1;
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        for (const int next : callees[static_cast<std::size_t>(queue[head])]) {
+          if (pred[static_cast<std::size_t>(next)] != -2) continue;
+          pred[static_cast<std::size_t>(next)] = queue[head];
+          queue.push_back(next);
+        }
+      }
+      const func_info& from = funcs[static_cast<std::size_t>(root)];
+      for (const int target : targets) {
+        if (pred[static_cast<std::size_t>(target)] == -2) continue;
+        std::string chain = funcs[static_cast<std::size_t>(target)].qualified;
+        for (int walk = pred[static_cast<std::size_t>(target)]; walk >= 0;
+             walk = pred[static_cast<std::size_t>(walk)]) {
+          chain += " <- " + funcs[static_cast<std::size_t>(walk)].qualified;
+        }
+        out.push_back(
+            {files[static_cast<std::size_t>(from.file)].rel, from.line,
+             "forbid-reach",
+             "'" + from.qualified + "' reaches forbidden '" +
+                 funcs[static_cast<std::size_t>(target)].qualified +
+                 "' (call chain: " + chain +
+                 "); layers.txt forbids this path"});
+      }
+    }
+  }
+  return true;
 }
 
 // --------------------------------------------------------------------------
@@ -1337,26 +1467,197 @@ void pass_header_hygiene(const std::vector<source_file>& files,
 }
 
 // --------------------------------------------------------------------------
+// Line-local rules: one scrubbed line at a time, each scoped by path.
+// --------------------------------------------------------------------------
+
+void report(const source_file& file, std::size_t index, std::string_view rule,
+            std::string message, std::vector<violation>& out) {
+  if (suppressed(file, index, rule)) return;
+  out.push_back({file.rel, index + 1, std::string(rule), std::move(message)});
+}
+
+// The directories whose outputs are exact by contract; a line performing
+// the blessed double->rational conversion is exempt by construction.
+bool exactness_scope(const std::string& rel) {
+  return starts_with_any(rel, {"src/equilibria/", "src/analysis/"});
+}
+
+void check_epsilon_literal(const source_file& file,
+                           std::vector<violation>& out) {
+  if (!exactness_scope(file.rel)) return;
+  static const std::regex eps_re(R"([0-9]\s*[eE]-[0-9])");
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    const std::string& code = file.lines[i].code;
+    if (code.find("exact_rational(") == std::string::npos &&
+        std::regex_search(code, eps_re)) {
+      report(file, i, "epsilon-literal",
+             "scientific-notation tolerance literal in an exactness "
+             "directory; route the comparison through exact rationals",
+             out);
+    }
+  }
+}
+
+void check_float_alpha_compare(const source_file& file,
+                               std::vector<violation>& out) {
+  if (!exactness_scope(file.rel)) return;
+  static const std::regex alpha_re(R"(\balpha\b)");
+  static const std::regex cmp_re(R"([<>]=?|[=!]=)");
+  static const std::regex frac_literal_re(
+      R"(\b[0-9]+\.[0-9]+\b|\b[0-9]+\.?[0-9]*[eE][-+]?[0-9]+\b)");
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    const std::string& code = file.lines[i].code;
+    if (code.find("exact_rational(") == std::string::npos &&
+        std::regex_search(code, alpha_re) && std::regex_search(code, cmp_re) &&
+        std::regex_search(code, frac_literal_re)) {
+      report(file, i, "float-alpha-compare",
+             "comparison mixes `alpha` with a non-integral floating "
+             "literal; use exact_rational / integer deltas instead",
+             out);
+    }
+  }
+}
+
+void check_unordered_iteration(const source_file& file,
+                               std::vector<violation>& out) {
+  if (!starts_with_any(file.rel,
+                       {"src/engine/", "src/analysis/", "src/gen/"})) {
+    return;
+  }
+  for (const auto& [i, name] : unordered_iterations(file)) {
+    report(file, i, "unordered-iteration",
+           "iterating std::unordered container `" + name +
+               "` on a sink-feeding path; iteration order is not "
+               "deterministic — use a sorted/indexed container or "
+               "collect-and-sort first",
+           out);
+  }
+}
+
+void check_raw_random(const source_file& file, std::vector<violation>& out) {
+  if (file.rel.starts_with("src/util/rng.")) return;
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    if (std::regex_search(file.lines[i].code, entropy_re())) {
+      report(file, i, "raw-random",
+             "unseeded randomness / wall-clock entropy outside util/rng; "
+             "results must be reproducible from (seed, shard)",
+             out);
+    }
+  }
+}
+
+void check_raw_thread(const source_file& file, std::vector<violation>& out) {
+  if (starts_with_any(file.rel,
+                      {"src/util/thread_pool.", "src/obs/progress."})) {
+    return;
+  }
+  static const std::regex thread_re(R"(std::j?thread\b)");
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    std::string code = file.lines[i].code;
+    // std::this_thread:: (sleep/yield) is not thread creation.
+    std::size_t pos;
+    while ((pos = code.find("std::this_thread")) != std::string::npos) {
+      code.erase(pos, std::string_view("std::this_thread").size());
+    }
+    if (std::regex_search(code, thread_re)) {
+      report(file, i, "raw-thread",
+             "raw std::thread outside util/thread_pool and obs/progress; "
+             "dispatch through the shared pool so nesting and telemetry "
+             "accounting hold",
+             out);
+    }
+  }
+}
+
+void check_metric_name_literal(const source_file& file,
+                               std::vector<violation>& out) {
+  if (file.rel.starts_with("src/obs/metrics.")) return;
+  static const std::regex metric_re(
+      R"((get_counter|get_gauge|get_histogram|counter_ref|gauge_ref|histogram_ref)\s*\(\s*")");
+  // The telemetry consumers read canonical names back out of serialized
+  // artifacts; a quoted name there drifts the day a producer renames it.
+  static const std::regex name_literal_re(
+      R"("(engine|census|equilibria|gen|poa_stream|thread_pool)\.[A-Za-z0-9_.]+")");
+  const bool consumer = starts_with_any(
+      file.rel, {"src/analysis/run_report.", "bench/harness."});
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    const std::string& raw = file.lines[i].raw;
+    if (std::regex_search(raw, metric_re)) {
+      report(file, i, "metric-name-literal",
+             "metric looked up by string literal; use the obs::names "
+             "constants so producers and the heartbeat stay in sync",
+             out);
+    }
+    if (consumer && std::regex_search(raw, name_literal_re)) {
+      report(file, i, "metric-name-literal",
+             "canonical metric name spelled as a literal in a telemetry "
+             "consumer; reference it through obs::names",
+             out);
+    }
+  }
+}
+
+void check_raw_exit(const source_file& file, std::vector<violation>& out) {
+  if (file.rel.starts_with("src/cli/")) return;
+  static const std::regex exit_re(R"((?:^|[^\w.:])exit\s*\()");
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    const std::string& code = file.lines[i].code;
+    if (std::regex_search(code, exit_re) ||
+        code.find("std::exit") != std::string::npos) {
+      report(file, i, "raw-exit",
+             "process exit outside src/cli/; library code reports errors "
+             "to the caller, only entry points terminate",
+             out);
+    }
+  }
+}
+
+// --------------------------------------------------------------------------
 // Reporting.
 // --------------------------------------------------------------------------
 
 struct rule_desc {
   std::string_view id;
   std::string_view summary;
+  // Line-local rules only; the whole-program passes run from run().
+  void (*check)(const source_file&, std::vector<violation>&);
 };
 
 constexpr rule_desc rules[] = {
-    {"layer-cycle", "the resolved #include graph must be acyclic"},
+    {"layer-cycle", "the resolved #include graph must be acyclic", nullptr},
     {"layer-up",
      "includes follow the layer DAG in tools/analyze/layers.txt (seam/allow "
-     "edges excepted)"},
+     "edges excepted)",
+     nullptr},
     {"det-taint",
      "no call chain from a sink-emitting function to a non-deterministic "
-     "source"},
+     "source",
+     nullptr},
     {"exact-arith",
-     "no raw +/-/* on rational num/den in the exactness directories"},
+     "no raw +/-/* on rational num/den in the exactness directories",
+     nullptr},
     {"header-hygiene",
-     "#pragma once, dir-qualified local includes, own header first"},
+     "#pragma once, dir-qualified local includes, own header first", nullptr},
+    {"forbid-reach",
+     "no call chain from a forbid-reach root to its targets (layers.txt)",
+     nullptr},
+    {"epsilon-literal",
+     "no 1e-9-style tolerance literals in src/equilibria/ or src/analysis/",
+     check_epsilon_literal},
+    {"float-alpha-compare",
+     "no comparison mixing alpha with a non-integral float literal there",
+     check_float_alpha_compare},
+    {"unordered-iteration",
+     "no unordered_{map,set} iteration in src/{engine,analysis,gen}/",
+     check_unordered_iteration},
+    {"raw-random", "rand()/random_device/time() only in util/rng",
+     check_raw_random},
+    {"raw-thread", "std::thread only in util/thread_pool and obs/progress",
+     check_raw_thread},
+    {"metric-name-literal",
+     "obs registry lookups use obs::names constants, not literals",
+     check_metric_name_literal},
+    {"raw-exit", "no std::exit outside src/cli/", check_raw_exit},
 };
 
 std::string json_escape_text(const std::string& text) {
@@ -1433,6 +1734,17 @@ bool analyzable(const fs::path& path) {
   return ext == ".cpp" || ext == ".hpp" || ext == ".cc" || ext == ".h";
 }
 
+// The whole-program index covers the library and its tools; the line-local
+// rules cover the library and its drivers. Widening the index would flag
+// the drivers' flat "bnf.hpp"/"harness.hpp" includes, and widening the
+// line rules would flag this tool's own exits.
+bool indexed(const std::string& rel) {
+  return !starts_with_any(rel, {"bench/", "examples/"});
+}
+bool line_scanned(const std::string& rel) {
+  return !rel.starts_with("tools/");
+}
+
 std::string relative_to(const fs::path& path, const fs::path& root) {
   const fs::path rel = path.lexically_normal().lexically_relative(
       root.lexically_normal());
@@ -1477,8 +1789,9 @@ int run(int argc, char** argv) {
   }
   if (layers_path.empty()) layers_path = root / "tools" / "analyze" / "layers.txt";
   if (inputs.empty()) {
-    inputs.push_back(root / "src");
-    inputs.push_back(root / "tools");
+    for (const char* dir : {"src", "tools", "bench", "examples"}) {
+      inputs.push_back(root / dir);
+    }
   }
 
   layer_config cfg;
@@ -1514,7 +1827,7 @@ int run(int argc, char** argv) {
   paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
 
   std::vector<source_file> files;
-  std::map<std::string, int> file_index;
+  std::vector<violation> violations;
   for (const fs::path& path : paths) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -1524,8 +1837,16 @@ int run(int argc, char** argv) {
     std::ostringstream text;
     text << in.rdbuf();
     source_file file{relative_to(path, root), split_and_scrub(text.str())};
-    file_index.emplace(file.rel, static_cast<int>(files.size()));
-    files.push_back(std::move(file));
+    if (line_scanned(file.rel)) {
+      for (const rule_desc& r : rules) {
+        if (r.check != nullptr) r.check(file, violations);
+      }
+    }
+    if (indexed(file.rel)) files.push_back(std::move(file));
+  }
+  std::map<std::string, int> file_index;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    file_index.emplace(files[f].rel, static_cast<int>(f));
   }
 
   // Index functions and calls.
@@ -1552,12 +1873,15 @@ int run(int argc, char** argv) {
 
   const std::vector<include_edge> edges = extract_includes(files, file_index);
 
-  std::vector<violation> violations;
+  const std::vector<call_edge> calls = build_call_edges(funcs);
   pass_layer_gate(files, edges, cfg, violations);
-  report_stats stats;
-  pass_det_taint(files, funcs, cfg, stats.call_edges, violations);
+  pass_det_taint(files, funcs, calls, cfg, violations);
   pass_exact_arith(files, cfg, violations);
   pass_header_hygiene(files, file_index, violations);
+  if (!pass_forbid_reach(files, funcs, calls, cfg, violations, error)) {
+    std::cerr << "bilatnet_analyze: " << error << "\n";
+    return 2;
+  }
 
   std::sort(violations.begin(), violations.end(),
             [](const violation& a, const violation& b) {
@@ -1572,9 +1896,8 @@ int run(int argc, char** argv) {
                   }),
       violations.end());
 
-  stats.files = files.size();
-  stats.functions = funcs.size();
-  stats.include_edges = edges.size();
+  const report_stats stats{paths.size(), funcs.size(), edges.size(),
+                           calls.size()};
 
   if (!json_path.empty()) {
     write_json_report(json_path, cfg, stats, violations);
@@ -1584,7 +1907,7 @@ int run(int argc, char** argv) {
               << v.message << "\n";
   }
   if (!violations.empty()) {
-    std::cout << violations.size() << " architecture violation"
+    std::cout << violations.size() << " violation"
               << (violations.size() == 1 ? "" : "s") << "\n";
     return 1;
   }

@@ -1,4 +1,4 @@
-// Fixture: MUST FAIL — bench/ is in the lint scan scope; ad-hoc entropy
+// Fixture: MUST FAIL — bench/ is in the line-rule scan scope; ad-hoc entropy
 // in a benchmark driver breaks run-to-run comparability the same way it
 // would in src/.
 #include <random>

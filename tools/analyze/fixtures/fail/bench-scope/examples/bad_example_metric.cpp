@@ -1,4 +1,4 @@
-// Fixture: MUST FAIL — examples/ is in the lint scan scope; metric
+// Fixture: MUST FAIL — examples/ is in the line-rule scan scope; metric
 // lookups by string literal drift the day a producer renames the metric.
 namespace bnf::obs {
 long get_counter(const char* name);

@@ -1,4 +1,4 @@
-// Fixture: everything in this file is an idiom the linter must accept.
+// Fixture: every idiom in this file is one the line-local rules accept.
 #include <unordered_map>
 #include <vector>
 
@@ -9,7 +9,7 @@ namespace bnf {
 double grid_top(double hi) {
   // A deliberate, documented tolerance gets the inline suppression with a
   // rationale — grid construction only, never a stability decision.
-  return hi * (1.0 + 1e-12);  // lint:allow(epsilon-literal) float grid pad
+  return hi * (1.0 + 1e-12);  // analyze:allow(epsilon-literal) float grid pad
 }
 
 int lookups_are_fine(const std::unordered_map<int, int>& memo) {
