@@ -306,6 +306,7 @@ text_table generator_funnel_table(const ledger_record& run) {
       {"candidates", candidates},
       {"prefilter rejects",
        run.counter(obs::names::orderly_prefilter_rejects)},
+      {"refine rejects", run.counter(obs::names::orderly_refine_rejects)},
       {"orbit rejects", run.counter(obs::names::orderly_orbit_rejects)},
       {"accepts", run.counter(obs::names::orderly_accepts)},
   };

@@ -1,6 +1,7 @@
 #include "equilibria/pairwise_stability.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -39,35 +40,105 @@ long long single_flip_table::distance_total() const {
 void measure_single_flips(const graph& g, single_flip_table& table) {
   const int n = g.order();
   const auto count = static_cast<std::size_t>(n);
+  const std::uint64_t all = g.vertex_mask();
   table.n = n;
   table.connected = true;
   table.base.resize(count);
+  table.balls.resize(count * count);
+
+  // One BFS per vertex, keeping its balls: balls[v * n + k] is the set
+  // within k hops of v, filled to `all` from v's eccentricity on.
+  std::array<int, max_vertices> ecc{};
   for (int v = 0; v < n; ++v) {
-    const distance_summary summary = distance_sum(g, v);
-    table.base[static_cast<std::size_t>(v)] = summary.sum;
-    if (summary.unreached > 0) table.connected = false;
+    std::uint64_t* ball =
+        table.balls.data() + static_cast<std::size_t>(v) * count;
+    std::uint64_t visited = bit(v);
+    std::uint64_t frontier = visited;
+    long long sum = 0;
+    int depth = 0;
+    ball[0] = visited;
+    while (true) {
+      std::uint64_t next = 0;
+      for_each_bit(frontier, [&](int w) { next |= g.neighbors(w); });
+      next &= ~visited;
+      if (next == 0) break;
+      ++depth;
+      visited |= next;
+      sum += static_cast<long long>(depth) * popcount(next);
+      ball[depth] = visited;
+      frontier = next;
+    }
+    ecc[static_cast<std::size_t>(v)] = depth;
+    std::fill(ball + depth + 1, ball + count, visited);
+    table.base[static_cast<std::size_t>(v)] = sum;
+    if (visited != all) table.connected = false;
   }
   if (!table.connected) return;
 
-  // No graph copies and no re-derived base sums: the stale reverse bit in
-  // the other endpoint's row cannot shorten any path from a.
-  table.delta.assign(count * count, 0);
+  const auto ball_of = [&](int v) -> const std::uint64_t* {
+    return table.balls.data() + static_cast<std::size_t>(v) * count;
+  };
+  std::array<std::uint64_t, max_vertices> any{};
+  std::array<std::uint64_t, max_vertices> two{};
+  table.delta.resize(count * count);
   for (int a = 0; a < n; ++a) {
     const std::uint64_t row = g.neighbors(a);
-    const long long base = table.base[static_cast<std::size_t>(a)];
+    const int depth = ecc[static_cast<std::size_t>(a)];
+    const std::uint64_t* ball_a = ball_of(a);
     long long* deltas =
         table.delta.data() + static_cast<std::size_t>(a) * count;
-    for_each_bit(g.vertex_mask() & ~bit(a), [&](int b) {
-      long long& delta = deltas[static_cast<std::size_t>(b)];
-      if (has_bit(row, b)) {
+    deltas[static_cast<std::size_t>(a)] = 0;
+
+    // Adding (a, b) makes d'(a, x) = min(d(a, x), 1 + d(b, x)), so a saves
+    // max(0, d(a, x) - 1 - d(b, x)) on x: one unit for every depth k with
+    // x within k - 1 hops of b but farther than k from a.
+    for_each_bit(all & ~row & ~bit(a), [&](int b) {
+      const std::uint64_t* ball_b = ball_of(b);
+      long long saving = 0;
+      for (int k = 1; k <= depth; ++k) {
+        saving += popcount(ball_b[k - 1] & ~ball_a[k]);
+      }
+      deltas[static_cast<std::size_t>(b)] = saving;
+    });
+
+    // Deleting (a, b) when the edge lies in a triangle a-b-c: every x
+    // keeps a neighbour of a other than b within d(a, x) hops (the first
+    // hop of a shortest path, or c when that hop is b). Such a neighbour
+    // has no shortest path to x through a, so it survives the cut, and no
+    // distance from a grows by more than one. The x at depth k that do
+    // grow are those no neighbour other than b reaches within k - 1 hops:
+    // outside u = {a} | two[k] | (any[k] & ~ball_b[k - 1]), where any[k] /
+    // two[k] hold what at least one / two neighbours of a reach. An edge
+    // in no triangle (bridges included) costs one row-replacement BFS.
+    for (int k = 1; k <= depth; ++k) {
+      any[static_cast<std::size_t>(k)] = 0;
+      two[static_cast<std::size_t>(k)] = 0;
+    }
+    for_each_bit(row, [&](int c) {
+      const std::uint64_t* ball_c = ball_of(c);
+      for (int k = 1; k <= depth; ++k) {
+        const auto kk = static_cast<std::size_t>(k);
+        two[kk] |= any[kk] & ball_c[k - 1];
+        any[kk] |= ball_c[k - 1];
+      }
+    });
+    const long long base = table.base[static_cast<std::size_t>(a)];
+    for_each_bit(row, [&](int b) {
+      long long increase = 0;
+      if ((row & g.neighbors(b)) == 0) {
         const distance_summary cut =
             distance_sum_with_row(g, a, row & ~bit(b));
-        delta = cut.unreached > 0 ? infinite_delta : cut.sum - base;
+        increase = cut.unreached > 0 ? infinite_delta : cut.sum - base;
       } else {
-        const distance_summary joined =
-            distance_sum_with_row(g, a, row | bit(b));
-        delta = joined.unreached > 0 ? infinite_delta : base - joined.sum;
+        const std::uint64_t* ball_b = ball_of(b);
+        for (int k = 1; k <= depth; ++k) {
+          const auto kk = static_cast<std::size_t>(k);
+          const std::uint64_t reached =
+              bit(a) | two[kk] | (any[kk] & ~ball_b[k - 1]);
+          increase += popcount(ball_a[k] & ~reached);
+        }
       }
+      deltas[static_cast<std::size_t>(b)] = increase;
     });
   }
 }

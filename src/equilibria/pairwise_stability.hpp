@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,11 +28,18 @@ inline constexpr long long infinite_delta = 1LL << 40;
 
 /// Every single-link toggle of one graph, measured once: the distance sum
 /// of each vertex plus, for every ordered pair (a, b), the change to a's
-/// sum when a toggles its link to b. Toggling a link incident to a only
-/// changes a's own row, so each entry is one row-replacement BFS
-/// (graph/paths.hpp) — n + n(n-1) BFS per graph, shared by the BCG
-/// stability record, the distance total and the UCG region search's root
-/// window and seeds.
+/// sum when a toggles its link to b (toggling a link incident to a only
+/// changes a's own row). One BFS per vertex keeps its balls, ball_v[k] =
+/// the vertices within k hops of v, and the entries are read off them:
+///   * adding (a, b) saves sum_k popcount(ball_b[k-1] & ~ball_a[k]);
+///   * deleting an edge (a, b) that lies in a triangle costs
+///     sum_k popcount(ball_a[k] & ~U_k), where U_k is a plus every vertex
+///     within k-1 hops of some neighbour of a other than b (no distance
+///     from a grows by more than one);
+///   * deleting an edge in no triangle (bridges included) costs one
+///     row-replacement BFS (graph/paths.hpp).
+/// Shared by the BCG stability record, the distance total and the UCG
+/// region search's root window and seeds.
 struct single_flip_table {
   int n{0};
   /// False when some base BFS left a vertex unreached; the deltas are
@@ -43,6 +51,10 @@ struct single_flip_table {
   /// is an edge (infinite_delta on a bridge), edge_addition_decrease(g, a,
   /// b) otherwise.
   std::vector<long long> delta;
+  /// Working storage: balls[v * n + k] is the set of vertices within k
+  /// hops of v (all of them past v's eccentricity). Kept here so a reused
+  /// table measures without allocating or zeroing.
+  std::vector<std::uint64_t> balls;
 
   [[nodiscard]] long long at(int a, int b) const {
     return delta[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -20,11 +21,12 @@ using aut_generators = std::vector<std::array<std::uint8_t, max_vertices>>;
 
 // Batched generator telemetry: the per-candidate path only bumps plain
 // local integers; one flush per shard (or per seed-level chunk) turns the
-// batch into four relaxed atomic adds, so the metrics registry never shows
+// batch into five relaxed atomic adds, so the metrics registry never shows
 // up in the augmentation hot loop.
 struct orderly_stats {
   std::uint64_t candidates{0};
   std::uint64_t prefilter_rejects{0};
+  std::uint64_t refine_rejects{0};
   std::uint64_t orbit_rejects{0};
   std::uint64_t accepts{0};
 };
@@ -34,6 +36,8 @@ void flush_orderly_stats(const orderly_stats& stats) {
       obs::get_counter(obs::names::orderly_candidates);
   static obs::counter& prefilter_rejects =
       obs::get_counter(obs::names::orderly_prefilter_rejects);
+  static obs::counter& refine_rejects =
+      obs::get_counter(obs::names::orderly_refine_rejects);
   static obs::counter& orbit_rejects =
       obs::get_counter(obs::names::orderly_orbit_rejects);
   static obs::counter& accepts = obs::get_counter(obs::names::orderly_accepts);
@@ -41,6 +45,7 @@ void flush_orderly_stats(const orderly_stats& stats) {
   if (stats.prefilter_rejects > 0) {
     prefilter_rejects.add(stats.prefilter_rejects);
   }
+  if (stats.refine_rejects > 0) refine_rejects.add(stats.refine_rejects);
   if (stats.orbit_rejects > 0) orbit_rejects.add(stats.orbit_rejects);
   if (stats.accepts > 0) accepts.add(stats.accepts);
 }
@@ -81,7 +86,12 @@ std::uint64_t permuted_mask(
 // pinning the last canonical position to minimum degree — hence the
 // popcount pre-filter: a new vertex of above-minimum degree can never be
 // orbit-equivalent to the deletion vertex, and most candidates die here
-// without a canonical form ever being computed.
+// without a canonical form ever being computed. The rest meet
+// canonical_form_if_last: the deletion vertex lies in the last cell of
+// the fully refined first partition, so a new vertex outside that cell
+// is rejected right after refinement, before any branch search (the
+// cheap-invariant-first step of McKay's canonical augmentation). Only
+// the survivors pay for the search and its orbit test.
 //
 // With `forests_only`, attachment sets touching any parent component
 // twice are skipped before the rewrite; forests are hereditary under
@@ -150,15 +160,19 @@ void augment_once(const graph& parent, const aut_generators& gens,
       continue;
     }
 
-    canon_result canon = canonical_form(child);
-    const int deletion = canon.labeling[static_cast<std::size_t>(k)];
-    if (canon.orbits[static_cast<std::size_t>(k)] !=
-        canon.orbits[static_cast<std::size_t>(deletion)]) {
+    std::optional<canon_result> canon = canonical_form_if_last(child, k);
+    if (!canon) {
+      ++stats.refine_rejects;
+      continue;
+    }
+    const int deletion = canon->labeling[static_cast<std::size_t>(k)];
+    if (canon->orbits[static_cast<std::size_t>(k)] !=
+        canon->orbits[static_cast<std::size_t>(deletion)]) {
       ++stats.orbit_rejects;
       continue;
     }
     ++stats.accepts;
-    sink(child, std::move(canon));
+    sink(child, *std::move(canon));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 
 #include "graph/metrics.hpp"
 #include "util/bitops.hpp"
@@ -51,7 +52,12 @@ class canon_search {
   explicit canon_search(const graph& g)
       : g_(g), n_(g.order()), orbits_(n_) {}
 
-  canon_result run() {
+  // The canonical form, or nullopt when `last` >= 0 is not in the last
+  // cell of the refined root partition. The search only individualizes
+  // and splits cells in place, so every leaf keeps that cell at its tail,
+  // and refining the unit partition is isomorphism-invariant, so the
+  // cell also holds labeling[n-1]'s whole Aut(g)-orbit.
+  std::optional<canon_result> run(int last) {
     canon_result result;
     if (n_ == 0) {
       result.canonical = graph(0);
@@ -65,6 +71,16 @@ class canon_search {
       root.is_start[static_cast<std::size_t>(i)] = (i == 0);
     }
     refine(root, g_.vertex_mask());
+    if (last >= 0) {
+      int pos = n_ - 1;
+      while (!root.is_start[static_cast<std::size_t>(pos)] &&
+             root.elems[static_cast<std::size_t>(pos)] != last) {
+        --pos;
+      }
+      if (root.elems[static_cast<std::size_t>(pos)] != last) {
+        return std::nullopt;
+      }
+    }
     path_.clear();
     search(root);
 
@@ -347,7 +363,15 @@ class canon_search {
 
 }  // namespace
 
-canon_result canonical_form(const graph& g) { return canon_search(g).run(); }
+canon_result canonical_form(const graph& g) {
+  return *canon_search(g).run(-1);
+}
+
+std::optional<canon_result> canonical_form_if_last(const graph& g, int v) {
+  expects(v >= 0 && v < g.order(),
+          "canonical_form_if_last: vertex out of range");
+  return canon_search(g).run(v);
+}
 
 std::uint64_t canonical_key64(const graph& g) {
   expects(g.order() <= max_key64_vertices,

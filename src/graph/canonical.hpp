@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -42,6 +43,15 @@ struct canon_result {
 /// exponential search is tamed by orbit pruning (vertex-transitive graphs
 /// on <= 64 vertices canonicalize in microseconds).
 [[nodiscard]] canon_result canonical_form(const graph& g);
+
+/// canonical_form(g), or nullopt when partition refinement alone proves
+/// that v cannot share an Aut(g)-orbit with labeling[n-1]: the search
+/// keeps the refined unit partition's last cell at the tail of every
+/// labeling, and orbits lie inside cells, so a v outside that cell is
+/// rejected before any branching. The orderly generator's canonical
+/// deletion test ("refine-then-reject"). Requires 0 <= v < order.
+[[nodiscard]] std::optional<canon_result> canonical_form_if_last(
+    const graph& g, int v);
 
 /// Canonical 64-bit key (upper-triangle packing of the canonical graph).
 /// Requires order <= 11. Equal keys + equal order <=> isomorphic.

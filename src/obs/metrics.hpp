@@ -272,8 +272,13 @@ inline constexpr const char* orderly_candidates = "gen.orderly.candidates";
 /// form computed).
 inline constexpr const char* orderly_prefilter_rejects =
     "gen.orderly.prefilter_rejects";
-/// Candidates whose canonical form rejected them (deletion-vertex orbit
-/// mismatch).
+/// Candidates rejected right after partition refinement: the new vertex
+/// lies outside the refined partition's last cell, so it cannot share the
+/// canonical deletion vertex's orbit (no branch search run).
+inline constexpr const char* orderly_refine_rejects =
+    "gen.orderly.refine_rejects";
+/// Candidates whose full canonical form rejected them (deletion-vertex
+/// orbit mismatch after the branch search).
 inline constexpr const char* orderly_orbit_rejects =
     "gen.orderly.orbit_rejects";
 /// Classes emitted by the generator.

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <vector>
 
+#include "gen/enumerate.hpp"
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "graph/metrics.hpp"
@@ -23,6 +25,53 @@ std::vector<int> random_permutation(int n, rng& random) {
   std::iota(perm.begin(), perm.end(), 0);
   random.shuffle(std::span<int>(perm));
   return perm;
+}
+
+// The orderly generator's refine-then-reject step rests on one premise:
+// the branch search only splits cells of the refined unit partition in
+// place, so every leaf keeps that partition's last cell at its tail and
+// labeling[n-1] (with its whole orbit) lies in it. canonical_form_if_last
+// accepts exactly the last cell, so on every class through n = 8 it must
+// accept labeling[n-1]'s orbit, return the very same canonical form, and
+// accept only minimum-degree vertices (refinement orders degrees
+// descending).
+TEST(CanonicalTest, CanonicalDeletionVertexLiesInTheRefinedLastCell) {
+  long long rejects = 0;
+  for (int n = 1; n <= 8; ++n) {
+    for_each_graph(
+        n,
+        [&](const graph& g) {
+          const canon_result full = canonical_form(g);
+          const int last = full.labeling[static_cast<std::size_t>(n - 1)];
+          int min_degree = n;
+          for (int v = 0; v < n; ++v) {
+            min_degree = std::min(min_degree, g.degree(v));
+          }
+          for (int v = 0; v < n; ++v) {
+            const std::optional<canon_result> early =
+                canonical_form_if_last(g, v);
+            if (full.orbits[static_cast<std::size_t>(v)] ==
+                full.orbits[static_cast<std::size_t>(last)]) {
+              ASSERT_TRUE(early.has_value()) << to_string(g) << " v=" << v;
+            }
+            if (!early) {
+              ++rejects;
+              continue;
+            }
+            EXPECT_EQ(g.degree(v), min_degree) << to_string(g);
+            EXPECT_EQ(early->labeling, full.labeling) << to_string(g);
+            EXPECT_EQ(early->orbits, full.orbits) << to_string(g);
+            EXPECT_EQ(early->canonical, full.canonical) << to_string(g);
+          }
+        },
+        {.connected_only = false});
+  }
+  EXPECT_GT(rejects, 0);
+}
+
+TEST(CanonicalTest, CanonicalFormIfLastRejectsOutOfRangeVertices) {
+  EXPECT_THROW((void)canonical_form_if_last(path(3), 3), precondition_error);
+  EXPECT_THROW((void)canonical_form_if_last(path(3), -1), precondition_error);
 }
 
 TEST(CanonicalTest, CanonicalFormInvariantUnderRelabeling) {

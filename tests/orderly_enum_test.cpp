@@ -24,6 +24,7 @@
 #include "graph/canonical.hpp"
 #include "graph/graph.hpp"
 #include "graph/paths.hpp"
+#include "obs/metrics.hpp"
 
 namespace bnf {
 namespace {
@@ -80,6 +81,61 @@ TEST_P(OrderlyVsLegacySuite, ConnectedClassesMatchLegacyByteForByte) {
 // dominates the runtime (it builds 2^7 children per 7-vertex class).
 INSTANTIATE_TEST_SUITE_P(SmallOrders, OrderlyVsLegacySuite,
                          ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8));
+
+// Refine-then-reject is only a shortcut past the branch search: on every
+// child the generator can build through n = 7, the early exit must never
+// fire on a child that the full canonical_form orbit test accepts. Both
+// tests depend on (child, new vertex) only up to isomorphism, so every
+// class's canonical labeling extended by every attachment subset covers
+// every orderly candidate.
+TEST(OrderlyEnumTest, RefineRejectNeverDropsAnAcceptedChild) {
+  long long refine_rejects = 0;
+  long long accepts = 0;
+  for (int k = 0; k < 7; ++k) {
+    for (const graph& parent : all_graphs(k, {.connected_only = false})) {
+      for (std::uint64_t subset = 0; subset < (std::uint64_t{1} << k);
+           ++subset) {
+        graph child = parent.with_vertex();
+        for (int v = 0; v < k; ++v) {
+          if ((subset >> v) & 1U) child.add_edge(v, k);
+        }
+        const canon_result full = canonical_form(child);
+        const int deletion = full.labeling[static_cast<std::size_t>(k)];
+        const bool accepted = full.orbits[static_cast<std::size_t>(k)] ==
+                              full.orbits[static_cast<std::size_t>(deletion)];
+        const bool survives = canonical_form_if_last(child, k).has_value();
+        if (accepted) {
+          ++accepts;
+          EXPECT_TRUE(survives) << to_string(child);
+        }
+        if (!survives) ++refine_rejects;
+      }
+    }
+  }
+  EXPECT_GT(accepts, 0);
+  EXPECT_GT(refine_rejects, 0);
+}
+
+// The funnel split at n = 7: the refinement catches all but 2 of the 388
+// candidates the full orbit test used to reject; candidates and accepts
+// are those of the generator without the early exit.
+TEST(OrderlyEnumTest, FunnelCountsAtN7) {
+  obs::counter& candidates = obs::get_counter(obs::names::orderly_candidates);
+  obs::counter& prefilter =
+      obs::get_counter(obs::names::orderly_prefilter_rejects);
+  obs::counter& refine = obs::get_counter(obs::names::orderly_refine_rejects);
+  obs::counter& orbit = obs::get_counter(obs::names::orderly_orbit_rejects);
+  obs::counter& accepts = obs::get_counter(obs::names::orderly_accepts);
+  const std::uint64_t before[] = {candidates.value(), prefilter.value(),
+                                  refine.value(), orbit.value(),
+                                  accepts.value()};
+  EXPECT_EQ(count_graphs(7, {.connected_only = true}), 853U);
+  EXPECT_EQ(candidates.value() - before[0], 5759U);
+  EXPECT_EQ(prefilter.value() - before[1], 4119U);
+  EXPECT_EQ(refine.value() - before[2], 386U);
+  EXPECT_EQ(orbit.value() - before[3], 2U);
+  EXPECT_EQ(accepts.value() - before[4], 1252U);
+}
 
 TEST(OrderlyEnumTest, ShardsAreDisjointAndCoverTheLevel) {
   const enumeration_plan plan(8, 16, {.connected_only = false});

@@ -344,6 +344,126 @@ TEST(SingleFlipTableTest, MatchesGraphCopyingDeltasOnRandomGraphsUpToN16) {
   EXPECT_GT(bridges, 0) << "the sample must exercise infinite_delta";
 }
 
+// Graphs past n = 16, built here: deep balls (paths and cycles up to
+// depth 63), random sparse-to-dense graphs, a triangle-free family where
+// every deletion entry takes the row-replacement BFS, and K_n where none
+// does.
+graph path_graph(int n) {
+  graph g(n);
+  for (int v = 1; v < n; ++v) g.add_edge(v - 1, v);
+  return g;
+}
+
+graph cycle_graph(int n) {
+  graph g = path_graph(n);
+  g.add_edge(n - 1, 0);
+  return g;
+}
+
+graph complete_graph(int n) {
+  graph g(n);
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) g.add_edge(u, v);
+  }
+  return g;
+}
+
+graph complete_bipartite_graph(int m) {
+  graph g(2 * m);
+  for (int u = 0; u < m; ++u) {
+    for (int v = m; v < 2 * m; ++v) g.add_edge(u, v);
+  }
+  return g;
+}
+
+graph hypercube_graph(int dimension) {
+  graph g(1 << dimension);
+  for (int u = 0; u < g.order(); ++u) {
+    for (int d = 0; d < dimension; ++d) {
+      const int v = u ^ (1 << d);
+      if (u < v) g.add_edge(u, v);
+    }
+  }
+  return g;
+}
+
+// A uniformly random recursive spanning tree plus every other pair with
+// probability `density`.
+graph tree_plus_chords(rng& random, int n, double density) {
+  graph g(n);
+  for (int v = 1; v < n; ++v) {
+    g.add_edge(static_cast<int>(random.below(static_cast<std::uint64_t>(v))),
+               v);
+  }
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      if (!g.has_edge(u, v) && random.uniform_real() < density) {
+        g.add_edge(u, v);
+      }
+    }
+  }
+  return g;
+}
+
+bool triangle_free(const graph& g) {
+  for (const auto& [u, v] : g.edges()) {
+    if ((g.neighbors(u) & g.neighbors(v)) != 0) return false;
+  }
+  return true;
+}
+
+TEST(SingleFlipTableTest, MatchesGraphCopyingDeltasOnDeepPathsAndCycles) {
+  for (const int n : {17, 31, 48, 63, 64}) {
+    EXPECT_EQ(expect_table_matches_graph_copies(path_graph(n)),
+              2 * (n - 1));
+    EXPECT_EQ(expect_table_matches_graph_copies(cycle_graph(n)), 0);
+  }
+}
+
+TEST(SingleFlipTableTest, MatchesGraphCopyingDeltasOnRandomGraphsUpToN64) {
+  rng random = testing::seeded_rng();
+  int graphs = 0;
+  int bridges = 0;
+  for (const double density : {0.05, 0.1, 0.2, 0.35, 0.5, 0.7}) {
+    for (int trial = 0; trial < 70; ++trial) {
+      const int n = 17 + static_cast<int>(random.below(48));
+      bridges += expect_table_matches_graph_copies(
+          tree_plus_chords(random, n, density));
+      ++graphs;
+    }
+  }
+  EXPECT_EQ(graphs, 420);
+  EXPECT_GT(bridges, 0) << "the sparse graphs must keep some bridges";
+}
+
+TEST(SingleFlipTableTest, MatchesGraphCopyingDeltasOnTriangleFreeGraphs) {
+  std::vector<graph> family;
+  for (int n = 4; n <= 64; ++n) family.push_back(cycle_graph(n));
+  for (int m = 2; m <= 32; ++m) family.push_back(complete_bipartite_graph(m));
+  for (int d = 2; d <= 6; ++d) family.push_back(hypercube_graph(d));
+  for (const graph& g : family) {
+    ASSERT_TRUE(triangle_free(g)) << to_string(g);
+    EXPECT_EQ(expect_table_matches_graph_copies(g), 0);
+  }
+}
+
+TEST(SingleFlipTableTest, MatchesGraphCopyingDeltasOnCompleteGraphs) {
+  single_flip_table flips;
+  for (int n = 2; n <= 64; ++n) {
+    const graph g = complete_graph(n);
+    EXPECT_EQ(expect_table_matches_graph_copies(g), n == 2 ? 2 : 0);
+    // Severing one link of K_n costs each endpoint exactly one hop.
+    measure_single_flips(g, flips);
+    for (int a = 0; a < n && n > 2; ++a) {
+      for (int b = 0; b < n; ++b) {
+        if (a != b) {
+          EXPECT_EQ(flips.at(a, b), 1) << n;
+        }
+      }
+    }
+  }
+}
+
 TEST(SingleFlipTableTest, RecordFromTheTableMatchesTheDefinition) {
   single_flip_table flips;
   for (const graph& g : testing::small_gallery()) {
