@@ -1,6 +1,7 @@
 #include "gen/enumerate.hpp"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -84,9 +85,12 @@ std::uint64_t permuted_mask(
 //
 // The first refinement of the canonical search orders degrees descending,
 // pinning the last canonical position to minimum degree — hence the
-// popcount pre-filter: a new vertex of above-minimum degree can never be
+// degree pre-filter: a new vertex of above-minimum degree can never be
 // orbit-equivalent to the deletion vertex, and most candidates die here
-// without a canonical form ever being computed. The rest meet
+// without a canonical form ever being computed. It is one mask test per
+// candidate: with below[d] = the parent vertices of degree < d, a child
+// vertex has degree < d = |S| iff it lies in below[d] outside S or in
+// below[d-1] inside S. The rest meet
 // canonical_form_if_last: the deletion vertex lies in the last cell of
 // the fully refined first partition, so a new vertex outside that cell
 // is rejected right after refinement, before any branch search (the
@@ -102,6 +106,16 @@ void augment_once(const graph& parent, const aut_generators& gens,
                   bool forests_only, orderly_stats& stats, Sink&& sink) {
   const int k = parent.order();
   graph child = parent.with_vertex();
+  std::uint64_t attached = 0;  // the new vertex's current neighbourhood
+
+  // below[d]: the parent vertices of degree < d, for d = 0..k.
+  std::array<std::uint64_t, max_vertices + 1> below{};
+  for (int u = 0; u < k; ++u) {
+    below[static_cast<std::size_t>(parent.degree(u) + 1)] |= bit(u);
+  }
+  for (std::size_t d = 1; d <= static_cast<std::size_t>(k); ++d) {
+    below[d] |= below[d - 1];
+  }
 
   std::vector<std::uint64_t> comps;
   if (forests_only && k > 0) comps = components(parent);
@@ -143,19 +157,14 @@ void augment_once(const graph& parent, const aut_generators& gens,
     }
 
     // Rewrite the new vertex's neighbourhood to `subset`.
-    for_each_bit(child.neighbors(k), [&](int w) { child.remove_edge(k, w); });
-    for_each_bit(subset, [&](int w) { child.add_edge(k, w); });
+    for_each_bit(attached ^ subset, [&](int w) { child.toggle_edge(k, w); });
+    attached = subset;
 
     ++stats.candidates;
-    const int new_degree = popcount(subset);
-    bool above_minimum = false;
-    for (int u = 0; u < k; ++u) {
-      if (popcount(child.neighbors(u)) < new_degree) {
-        above_minimum = true;
-        break;
-      }
-    }
-    if (above_minimum) {
+    const auto d = static_cast<std::size_t>(popcount(subset));
+    const std::uint64_t lower_degree =
+        (below[d] & ~subset) | (d > 0 ? below[d - 1] & subset : 0);
+    if (lower_degree != 0) {
       ++stats.prefilter_rejects;
       continue;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <optional>
 
 #include "graph/metrics.hpp"
@@ -17,15 +18,29 @@ namespace {
 constexpr int max_generators = 512;
 
 // An ordered partition of the vertices: `elems` lists vertices, cells are
-// maximal runs with is_start marking each cell's first position.
+// maximal runs, and bit p of `starts` marks a cell beginning at position p
+// (bit 0 is always set).
 struct ordered_partition {
   int n{0};
   std::array<std::uint8_t, max_vertices> elems{};
-  std::array<bool, max_vertices> is_start{};
+  std::uint64_t starts{1};
 };
 
+// First position of every cell with two or more members.
+std::uint64_t non_singleton_starts(const ordered_partition& p) {
+  return p.starts & ~(p.starts >> 1) & low_bits(p.n - 1);
+}
+
+// One past the last position of the cell starting at `begin`, read off a
+// `starts` mask.
+int cell_end(std::uint64_t starts, int begin, int n) {
+  const std::uint64_t later = starts & ~low_bits(begin + 1);
+  return later != 0 ? lowest_bit(later) : n;
+}
+
+// Only the first n slots are ever written or read.
 struct union_find {
-  std::array<int, max_vertices> parent{};
+  std::array<int, max_vertices> parent;
 
   explicit union_find(int n) {
     for (int i = 0; i < n; ++i) parent[static_cast<std::size_t>(i)] = i;
@@ -49,8 +64,11 @@ struct union_find {
 
 class canon_search {
  public:
-  explicit canon_search(const graph& g)
-      : g_(g), n_(g.order()), orbits_(n_) {}
+  explicit canon_search(const graph& g) : n_(g.order()), orbits_(n_) {
+    for (int v = 0; v < n_; ++v) {
+      adj_[static_cast<std::size_t>(v)] = g.neighbors(v);
+    }
+  }
 
   // The canonical form, or nullopt when `last` >= 0 is not in the last
   // cell of the refined root partition. The search only individualizes
@@ -68,16 +86,13 @@ class canon_search {
     root.n = n_;
     for (int i = 0; i < n_; ++i) {
       root.elems[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i);
-      root.is_start[static_cast<std::size_t>(i)] = (i == 0);
     }
-    refine(root, g_.vertex_mask());
+    refine(root, low_bits(n_));
     if (last >= 0) {
-      int pos = n_ - 1;
-      while (!root.is_start[static_cast<std::size_t>(pos)] &&
-             root.elems[static_cast<std::size_t>(pos)] != last) {
-        --pos;
-      }
-      if (root.elems[static_cast<std::size_t>(pos)] != last) {
+      const int last_begin = 63 - std::countl_zero(root.starts);
+      const auto cell_tail = root.elems.begin() + n_;
+      if (std::find(root.elems.begin() + last_begin, cell_tail, last) ==
+          cell_tail) {
         return std::nullopt;
       }
     }
@@ -85,11 +100,12 @@ class canon_search {
     search(root);
 
     result.labeling.assign(best_leaf_.begin(), best_leaf_.begin() + n_);
-    std::vector<int> perm(static_cast<std::size_t>(n_));
+    // best_rows_ already is the adjacency of the best leaf's relabeling.
+    result.canonical = graph(n_);
     for (int p = 0; p < n_; ++p) {
-      perm[static_cast<std::size_t>(result.labeling[static_cast<std::size_t>(p)])] = p;
+      for_each_bit(best_rows_[static_cast<std::size_t>(p)] & ~low_bits(p + 1),
+                   [&](int q) { result.canonical.add_edge(p, q); });
     }
-    result.canonical = g_.permuted(perm);
     result.orbits.resize(static_cast<std::size_t>(n_));
     for (int v = 0; v < n_; ++v) {
       result.orbits[static_cast<std::size_t>(v)] = orbits_.find(v);
@@ -109,25 +125,21 @@ class canon_search {
 
   // Make the partition equitable, starting from `initial_scope` as the
   // first splitting scope (1-dimensional Weisfeiler-Leman refinement).
+  // Each scope visits the non-singleton cells of a snapshot of `starts`,
+  // left to right: splitting a cell only adds starts inside that cell, so
+  // the snapshot holds exactly the cells a left-to-right rescan would meet.
   void refine(ordered_partition& p, std::uint64_t initial_scope) {
-    std::array<std::uint64_t, max_worklist> worklist{};
+    std::array<std::uint64_t, max_worklist> worklist;  // first work_count live
     int work_count = 0;
     worklist[static_cast<std::size_t>(work_count++)] = initial_scope;
 
     while (work_count > 0) {
       const std::uint64_t scope = worklist[static_cast<std::size_t>(--work_count)];
-      int pos = 0;
-      while (pos < p.n) {
-        int cell_end = pos + 1;
-        while (cell_end < p.n && !p.is_start[static_cast<std::size_t>(cell_end)]) {
-          ++cell_end;
-        }
-        const int cell_size = cell_end - pos;
-        if (cell_size > 1) {
-          split_cell(p, pos, cell_end, scope, worklist, work_count);
-        }
-        pos = cell_end;
-      }
+      const std::uint64_t starts = p.starts;
+      for_each_bit(non_singleton_starts(p), [&](int begin) {
+        split_cell(p, begin, cell_end(starts, begin, p.n), scope, worklist,
+                   work_count);
+      });
     }
   }
 
@@ -137,15 +149,15 @@ class canon_search {
                   std::uint64_t scope,
                   std::array<std::uint64_t, max_worklist>& worklist,
                   int& work_count) {
-    std::array<std::uint8_t, max_vertices> verts{};
-    std::array<std::int8_t, max_vertices> counts{};
+    std::array<std::uint8_t, max_vertices> verts;  // first `size` live
+    std::array<std::int8_t, max_vertices> counts;
     const int size = end - begin;
     bool uniform = true;
     for (int i = 0; i < size; ++i) {
       const int v = p.elems[static_cast<std::size_t>(begin + i)];
       verts[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v);
-      counts[static_cast<std::size_t>(i)] =
-          static_cast<std::int8_t>(popcount(g_.neighbors(v) & scope));
+      counts[static_cast<std::size_t>(i)] = static_cast<std::int8_t>(
+          popcount(adj_[static_cast<std::size_t>(v)] & scope));
       if (counts[static_cast<std::size_t>(i)] != counts[0]) uniform = false;
     }
     if (uniform) return;
@@ -175,9 +187,7 @@ class canon_search {
         ensures(work_count < static_cast<int>(worklist.size()),
                 "canonical: refinement worklist overflow");
         worklist[static_cast<std::size_t>(work_count++)] = fragment_mask;
-        if (i + 1 < size) {
-          p.is_start[static_cast<std::size_t>(begin + i + 1)] = true;
-        }
+        if (i + 1 < size) p.starts |= bit(begin + i + 1);
         fragment_mask = 0;
       }
     }
@@ -189,19 +199,13 @@ class canon_search {
   static std::pair<int, int> target_cell(const ordered_partition& p) {
     int best_begin = -1;
     int best_size = max_vertices + 1;
-    int pos = 0;
-    while (pos < p.n) {
-      int cell_end = pos + 1;
-      while (cell_end < p.n && !p.is_start[static_cast<std::size_t>(cell_end)]) {
-        ++cell_end;
-      }
-      const int size = cell_end - pos;
-      if (size > 1 && size < best_size) {
+    for_each_bit(non_singleton_starts(p), [&](int begin) {
+      const int size = cell_end(p.starts, begin, p.n) - begin;
+      if (size < best_size) {
         best_size = size;
-        best_begin = pos;
+        best_begin = begin;
       }
-      pos = cell_end;
-    }
+    });
     if (best_begin < 0) return {-1, -1};
     return {best_begin, best_begin + best_size};
   }
@@ -246,7 +250,7 @@ class canon_search {
               p.elems[static_cast<std::size_t>(j - 1)];
         }
         p.elems[static_cast<std::size_t>(begin)] = static_cast<std::uint8_t>(v);
-        p.is_start[static_cast<std::size_t>(begin + 1)] = true;
+        p.starts |= bit(begin + 1);
         return;
       }
     }
@@ -290,7 +294,7 @@ class canon_search {
   // lexicographically (row 0 word first).
   void leaf_certificate(const ordered_partition& p,
                         std::array<std::uint64_t, max_vertices>& rows) const {
-    std::array<std::uint8_t, max_vertices> position{};
+    std::array<std::uint8_t, max_vertices> position;  // first n_ live
     for (int pos = 0; pos < n_; ++pos) {
       position[p.elems[static_cast<std::size_t>(pos)]] =
           static_cast<std::uint8_t>(pos);
@@ -298,7 +302,7 @@ class canon_search {
     for (int pos = 0; pos < n_; ++pos) {
       const int v = p.elems[static_cast<std::size_t>(pos)];
       std::uint64_t row = 0;
-      for_each_bit(g_.neighbors(v), [&](int w) {
+      for_each_bit(adj_[static_cast<std::size_t>(v)], [&](int w) {
         row |= bit(position[static_cast<std::size_t>(w)]);
       });
       rows[static_cast<std::size_t>(pos)] = row;
@@ -306,17 +310,11 @@ class canon_search {
   }
 
   void process_leaf(const ordered_partition& p) {
-    std::array<std::uint64_t, max_vertices> rows{};
+    std::array<std::uint64_t, max_vertices> rows;  // first n_ live
     leaf_certificate(p, rows);
 
-    if (!have_best_) {
-      best_rows_ = rows;
-      best_leaf_ = p.elems;
-      have_best_ = true;
-      return;
-    }
-
     const auto compare = [&]() {
+      if (!have_best_) return 1;
       for (int i = 0; i < n_; ++i) {
         if (rows[static_cast<std::size_t>(i)] !=
             best_rows_[static_cast<std::size_t>(i)]) {
@@ -330,8 +328,9 @@ class canon_search {
     }();
 
     if (compare > 0) {
-      best_rows_ = rows;
+      std::copy_n(rows.begin(), n_, best_rows_.begin());
       best_leaf_ = p.elems;
+      have_best_ = true;
       return;
     }
     if (compare < 0) return;
@@ -351,12 +350,13 @@ class canon_search {
     }
   }
 
-  const graph& g_;
   int n_;
+  std::array<std::uint64_t, max_vertices> adj_;  // g's rows; first n_ live
   std::vector<int> path_;  // vertices individualized on the current path
   bool have_best_{false};
-  std::array<std::uint64_t, max_vertices> best_rows_{};
-  std::array<std::uint8_t, max_vertices> best_leaf_{};
+  // The best leaf's certificate and labeling; first n_ slots live.
+  std::array<std::uint64_t, max_vertices> best_rows_;
+  std::array<std::uint8_t, max_vertices> best_leaf_;
   std::vector<std::array<std::uint8_t, max_vertices>> generators_;
   union_find orbits_;
 };

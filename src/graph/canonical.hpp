@@ -39,9 +39,13 @@ struct canon_result {
   std::vector<std::array<std::uint8_t, max_vertices>> generators;
 };
 
-/// Compute the canonical form of g. O(poly) for the refinement; worst-case
-/// exponential search is tamed by orbit pruning (vertex-transitive graphs
-/// on <= 64 vertices canonicalize in microseconds).
+/// Compute the canonical form of g. Refinement is polynomial; the branch
+/// search is exponential in the worst case, and its only pruning is the
+/// orbits, among sibling branches, of the discovered automorphisms that
+/// fix the current path. The census orders (n <= 11) canonicalize in
+/// microseconds, but large, highly symmetric graphs can blow up: on a
+/// shared 4-core x86-64 VM, release build, Q6 took 0.4 ms, K_{8,8} 0.7 ms,
+/// K16 2.5 ms, K24 40 ms, and K_{32,32} did not finish in 20 s.
 [[nodiscard]] canon_result canonical_form(const graph& g);
 
 /// canonical_form(g), or nullopt when partition refinement alone proves

@@ -150,14 +150,18 @@ graph graph::with_vertex() const {
   return g;
 }
 
+// Row i of the upper triangle, the pairs (i, j > i), occupies the n-1-i
+// key bits starting at i(n-1) - i(i-1)/2; both codec directions move one
+// such segment per vertex.
 std::uint64_t graph::key64() const {
   expects(n_ <= max_key64_vertices, "graph::key64: requires order <= 11");
   std::uint64_t key = 0;
-  int index = 0;
-  for (int i = 0; i < n_; ++i) {
-    for (int j = i + 1; j < n_; ++j, ++index) {
-      if (has_bit(adj_[static_cast<std::size_t>(i)], j)) key |= bit(index);
-    }
+  int offset = 0;
+  for (int i = 0; i + 1 < n_; ++i) {
+    const int length = n_ - 1 - i;
+    key |= ((adj_[static_cast<std::size_t>(i)] >> (i + 1)) & low_bits(length))
+           << offset;
+    offset += length;
   }
   return key;
 }
@@ -165,15 +169,19 @@ std::uint64_t graph::key64() const {
 graph graph::from_key64(int n, std::uint64_t key) {
   expects(n >= 0 && n <= max_key64_vertices,
           "graph::from_key64: requires 0 <= n <= 11");
-  graph g(n);
-  int index = 0;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j, ++index) {
-      if (has_bit(key, index)) g.add_edge(i, j);
-    }
-  }
-  expects((key & ~low_bits(index)) == 0,
+  expects((key & ~low_bits(n * (n - 1) / 2)) == 0,
           "graph::from_key64: key has bits beyond C(n,2)");
+  graph g(n);
+  int offset = 0;
+  for (int i = 0; i + 1 < n; ++i) {
+    const int length = n - 1 - i;
+    const std::uint64_t row = ((key >> offset) & low_bits(length)) << (i + 1);
+    g.adj_[static_cast<std::size_t>(i)] |= row;
+    for_each_bit(row, [&](int j) {
+      g.adj_[static_cast<std::size_t>(j)] |= bit(i);
+    });
+    offset += length;
+  }
   return g;
 }
 

@@ -209,6 +209,44 @@ TEST(CanonicalTest, OrbitsInvariantUnderRelabeling) {
   }
 }
 
+// Canonical bytes beyond the 64-bit key range (n > 11), hashed row by row
+// with FNV-1a 64. The graphs are built here rather than from gen/named so
+// the pins depend on nothing but the canonical search; 63 and 64 vertices
+// cover the full-word and top-bit edges of the cell masks.
+TEST(CanonicalTest, CanonicalRowsArePinnedBeyondKeyRange) {
+  const auto ring = [](int n, bool closed) {
+    graph g(n);
+    for (int v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
+    if (closed) g.add_edge(n - 1, 0);
+    return g;
+  };
+  graph q6(64);
+  for (int v = 0; v < 64; ++v) {
+    for (int b = 0; b < 6; ++b) {
+      if (v < (v ^ (1 << b))) q6.add_edge(v, v ^ (1 << b));
+    }
+  }
+  graph g64(64);
+  std::uint64_t x = 1;
+  for (int i = 0; i < 64; ++i) {
+    for (int j = i + 1; j < 64; ++j) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      if ((x >> 63) != 0) g64.add_edge(i, j);
+    }
+  }
+  const auto digest = [](const graph& g) {
+    const graph canon = canonical_form(g).canonical;
+    std::vector<std::uint64_t> rows;
+    for (int v = 0; v < canon.order(); ++v) rows.push_back(canon.neighbors(v));
+    return testing::fnv1a_words(rows);
+  };
+  EXPECT_EQ(digest(ring(64, false)), 0xf079b38fb96e26a5ULL);
+  EXPECT_EQ(digest(ring(63, true)), 0x8df79dcd86423925ULL);
+  EXPECT_EQ(digest(ring(64, true)), 0x31f6a75ebcdf6aa5ULL);
+  EXPECT_EQ(digest(q6), 0x919f4d14b49b4d31ULL);
+  EXPECT_EQ(digest(g64), 0x198eb0445efc8929ULL);
+}
+
 TEST(CanonicalTest, EmptyAndTinyGraphs) {
   EXPECT_EQ(canonical_form(graph(0)).canonical.order(), 0);
   EXPECT_EQ(canonical_form(graph(1)).canonical.order(), 1);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "gen/named.hpp"
@@ -144,6 +145,35 @@ TEST(GraphTest, Key64RejectsLargeOrder) {
 TEST(GraphTest, Key64RejectsStrayBits) {
   // n=3 has C(3,2)=3 pair bits; bit 3 is out of range.
   EXPECT_THROW((void)graph::from_key64(3, 0b1000ULL), precondition_error);
+  // At n = 11 the last pair (9,10) is bit 54; bit 55 is stray.
+  const graph top = graph::from_key64(11, std::uint64_t{1} << 54);
+  EXPECT_EQ(top.size(), 1);
+  EXPECT_TRUE(top.has_edge(9, 10));
+  for (int n = 2; n <= max_key64_vertices; ++n) {
+    const int pairs = n * (n - 1) / 2;
+    EXPECT_THROW((void)graph::from_key64(n, std::uint64_t{1} << pairs),
+                 precondition_error)
+        << n;
+  }
+}
+
+// Every labeled graph through n = 6 against a naive pair-by-pair packing:
+// pairs (i < j) in row-major order take bits 0, 1, 2, ...
+TEST(GraphTest, Key64MatchesNaivePackingOnEveryLabeledGraph) {
+  for (int n = 0; n <= 6; ++n) {
+    const int pairs = n * (n - 1) / 2;
+    for (std::uint64_t key = 0; key < (std::uint64_t{1} << pairs); ++key) {
+      graph g(n);
+      int index = 0;
+      for (int i = 0; i < n; ++i) {
+        for (int j = i + 1; j < n; ++j, ++index) {
+          if ((key >> index) & 1U) g.add_edge(i, j);
+        }
+      }
+      ASSERT_EQ(g.key64(), key) << to_string(g);
+      ASSERT_EQ(graph::from_key64(n, key), g) << to_string(g);
+    }
+  }
 }
 
 TEST(GraphTest, Graph6RoundTripSmall) {

@@ -25,6 +25,7 @@
 #include "graph/graph.hpp"
 #include "graph/paths.hpp"
 #include "obs/metrics.hpp"
+#include "testing.hpp"
 
 namespace bnf {
 namespace {
@@ -81,6 +82,22 @@ TEST_P(OrderlyVsLegacySuite, ConnectedClassesMatchLegacyByteForByte) {
 // dominates the runtime (it builds 2^7 children per 7-vertex class).
 INSTANTIATE_TEST_SUITE_P(SmallOrders, OrderlyVsLegacySuite,
                          ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8));
+
+// The legacy oracle above calls canonical_form too, so it would still
+// agree if the canonical labeling itself changed. These digests pin the
+// canonical bytes: FNV-1a 64 over the sorted keys' little-endian bytes.
+TEST(OrderlyEnumTest, CanonicalKeySetDigestsArePinned) {
+  const auto expect_digest = [](int n, bool connected_only,
+                                 std::size_t count, std::uint64_t digest) {
+    const std::vector<std::uint64_t> keys =
+        all_graph_keys(n, {.connected_only = connected_only});
+    EXPECT_EQ(keys.size(), count) << n;
+    EXPECT_EQ(testing::fnv1a_words(keys), digest) << n;
+  };
+  expect_digest(7, true, 853, 0xdfc45b6d5650707bULL);
+  expect_digest(8, false, 12346, 0x5683f1352d7ecaecULL);
+  expect_digest(9, true, 261080, 0x099a78bb96455ba3ULL);
+}
 
 // Refine-then-reject is only a shortcut past the branch search: on every
 // child the generator can build through n = 7, the early exit must never

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,6 +34,19 @@ constexpr std::uint64_t seed_of(std::string_view tag) {
   for (const char ch : tag) {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(ch));
     h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+/// FNV-1a 64 over each word's 8 little-endian bytes, in order: the digest
+/// the canonical-byte pins use for sorted key sets and adjacency rows.
+constexpr std::uint64_t fnv1a_words(std::span<const std::uint64_t> words) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const std::uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFFU;
+      h *= 0x100000001B3ULL;
+    }
   }
   return h;
 }
