@@ -103,6 +103,10 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
   obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_us);
   obs::histogram& shard_sizes =
       obs::get_histogram(obs::names::shard_topologies);
+  obs::counter& ucg_player_intervals =
+      obs::get_counter(obs::names::ucg_player_intervals);
+  obs::counter& ucg_orientations =
+      obs::get_counter(obs::names::ucg_orientations);
 
   // Shards are claimed on demand: shard sizes differ by ~50x, so each
   // worker takes the next unclaimed shard until none is left instead of
@@ -122,6 +126,8 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
       stopwatch shard_timer;
       shard_rows& rows = shards[shard];
       std::uint64_t topologies = 0;
+      long long player_intervals = 0;
+      long long orientations = 0;
       if (pass.replay) {
         pass.replay(shard, rows);
       } else {
@@ -129,11 +135,15 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
           const topology_profile profile = profile_topology(
               graph::from_key64(n, key), pass.include_ucg, pass.ucg_clamp,
               scratch);
+          player_intervals += profile.ucg_player_intervals;
+          orientations += profile.ucg_orientations;
           if (pass.on_profile) pass.on_profile(shard, profile);
           rows.add(grid, profile.bcg_interval, profile.ucg, profile.edges,
                    profile.distance_total);
         });
       }
+      ucg_player_intervals.add(static_cast<std::uint64_t>(player_intervals));
+      ucg_orientations.add(static_cast<std::uint64_t>(orientations));
       if (pass.on_shard_end) pass.on_shard_end(shard, topologies);
       if (pass.first_walk) {
         span.arg("topologies", topologies);

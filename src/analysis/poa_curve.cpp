@@ -15,11 +15,24 @@ namespace bnf {
 
 namespace {
 
+/// Insert tau into a sorted, duplicate-free threshold set, OR-ing the
+/// game flag into an existing entry. A shard notes ~1.4 endpoints per
+/// topology but holds only a handful of distinct values, so the set stays
+/// tiny instead of growing with the shard.
 void note_breakpoint(std::vector<poa_breakpoint>& breakpoints,
                      const rational& tau, bool from_bcg) {
   if (tau.is_infinite() || tau.num <= 0) return;
-  poa_breakpoint entry{tau, from_bcg, !from_bcg};
-  breakpoints.push_back(entry);
+  const auto it = std::lower_bound(
+      breakpoints.begin(), breakpoints.end(), tau,
+      [](const poa_breakpoint& entry, const rational& value) {
+        return entry.tau < value;
+      });
+  if (it != breakpoints.end() && it->tau == tau) {
+    it->from_bcg |= from_bcg;
+    it->from_ucg |= !from_bcg;
+  } else {
+    breakpoints.insert(it, poa_breakpoint{tau, from_bcg, !from_bcg});
+  }
 }
 
 /// BCG thresholds live in alpha_BCG = tau / 2 units; fold into tau.
@@ -244,8 +257,6 @@ poa_curve_summary stream_poa_curve(int n, const poa_stream_options& options) {
     arena[shard].push_back(packed);
   };
   pass1.on_shard_end = [&](std::size_t shard, std::uint64_t topologies) {
-    auto& thresholds = threshold_shard[shard];
-    thresholds = merge_breakpoints(std::move(thresholds));
     count_shard[shard] = topologies;
     if (cache_profiles) {
       arena_bytes.add(arena[shard].size() * sizeof(packed_profile));

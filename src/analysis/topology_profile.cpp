@@ -1,5 +1,7 @@
 #include "analysis/topology_profile.hpp"
 
+#include <utility>
+
 namespace bnf {
 
 topology_profile profile_topology(const graph& g, bool include_ucg,
@@ -12,9 +14,11 @@ topology_profile profile_topology(const graph& g, bool include_ucg,
   profile.bcg_interval =
       to_alpha_interval(compute_stability_record(g, scratch.flips));
   if (include_ucg) {
-    profile.ucg =
-        ucg_nash_alpha_region(g, ucg_clamp, scratch.flips, scratch.region)
-            .region;
+    ucg_region_result region =
+        ucg_nash_alpha_region(g, ucg_clamp, scratch.flips, scratch.region);
+    profile.ucg = std::move(region.region);
+    profile.ucg_player_intervals = region.player_intervals_computed;
+    profile.ucg_orientations = region.orientations_tried;
   }
   return profile;
 }

@@ -29,6 +29,10 @@ struct topology_profile {
   /// Exact UCG Nash region (alpha_UCG units). Empty when include_ucg was
   /// false.
   alpha_interval_set ucg;
+  /// The region search's work counts (ucg_region_result); zero when
+  /// include_ucg was false.
+  long long ucg_player_intervals{0};
+  long long ucg_orientations{0};
 };
 
 /// Profile one connected topology. `ucg_clamp` restricts the UCG region

@@ -79,8 +79,8 @@ class alpha_interval_set {
   void add(alpha_interval interval);
 
   /// Drop every component (capacity is retained, so a cleared set can be
-  /// refilled without reallocating — the region-search scratch relies on
-  /// this).
+  /// refilled without reallocating — the streaming curve's pass-2 unpacking
+  /// relies on this).
   void clear() { parts_.clear(); }
 
   [[nodiscard]] bool empty() const { return parts_.empty(); }
@@ -93,7 +93,7 @@ class alpha_interval_set {
 
   /// True when `interval` lies entirely inside the union. Because parts
   /// are disjoint and non-touching, a contiguous interval is covered iff
-  /// one part contains it — the prune test of the orientation search.
+  /// one part contains it.
   [[nodiscard]] bool covers(const alpha_interval& interval) const;
 
   friend bool operator==(const alpha_interval_set&,

@@ -19,18 +19,27 @@
 //   filter 2: every edge needs a tolerant buyer — an endpoint whose
 //             single-link severance saving does not exceed alpha;
 //   search:   backtracking over buyer orientations, checking each player's
-//             exact best response (2^(n-1) subsets, popcount-pruned and
-//             memoized per (player, paid-set)) as soon as all its incident
-//             edges are assigned.
+//             exact best response (2^(n-1) subsets, pruned by subset size)
+//             as soon as all its incident edges are assigned; each
+//             (player, paid set) is scanned once per topology.
 //
-// Every comparison against alpha is EXACT: the link cost is converted once
-// to its exact rational value (every double is a binary rational) and all
-// threshold decisions are integer cross-multiplications — there is no
-// epsilon slack anywhere, so is_ucg_nash agrees with the interval
-// certificates of ucg_nash_alpha_region at every representable alpha,
-// including one ulp on either side of a threshold. (Queries are clamped
-// into [2^-4, 2^20] first; every genuine threshold on n <= 16 vertices
-// lies strictly inside — the smallest is 1/15 — so decisions are
+// Every comparison against alpha is EXACT, with no epsilon slack anywhere.
+// Every threshold of a search on n vertices is p/d with integer p and
+// 1 <= d <= n - 1, so all of them are multiples of 1/L, L = lcm(1..n-1)
+// (840 at n = 9, 360360 at n = 16). The search therefore runs on the
+// integer endpoint codes of util/rational.hpp: a closed threshold v is
+// the even code 2vL, an open lower (upper) endpoint adds (subtracts) one,
+// and +inf is LLONG_MAX, so window emptiness, intersection, coverage and
+// union are integer min/max/compare operations. Each threshold code has
+// magnitude at most n(n-1)L, below 2^31 through the n <= 16 guard, so the
+// scan needs no overflow checks. A link cost or clamp endpoint off the
+// 1/L grid (every double is a binary rational) codes as 2*floor(vL) + 1,
+// strictly between two grid codes, so it orders against every threshold
+// exactly as the rational does; is_ucg_nash therefore agrees with the
+// interval certificates of ucg_nash_alpha_region at every representable
+// alpha, including one ulp on either side of a threshold. (Queries are
+// clamped into [2^-4, 2^20] first; every genuine threshold on n <= 16
+// vertices lies strictly inside — the smallest is 1/15 — so decisions are
 // constant beyond the band and any positive double — 1e-300, 1e-5, or
 // 1e300 — gets the correct asymptotic answer.)
 #pragma once
@@ -90,13 +99,15 @@ struct ucg_region_result {
   long long orientations_tried{0};
 };
 /// Reusable scratch for the region search: the DFS state (edge windows,
-/// paid masks, the per-(player, paid-set) content-interval memo, the
-/// region set under construction, and a single-flip table for callers
-/// that bring none) lives in arenas owned by the workspace,
-/// so a caller that profiles millions of topologies hands the SAME
-/// workspace to consecutive calls and pays the allocations once per
-/// thread instead of once per topology. Not thread-safe: one workspace
-/// per thread.
+/// paid masks, the region under construction, and a single-flip table for
+/// callers that bring none) lives in arenas owned by the workspace, and
+/// so does the content-window memo: a flat table with one slot per
+/// (player, paid subset of its neighbourhood), sum_v 2^deg(v) slots
+/// (2,304 at most at n = 9), invalidated per call by an epoch stamp
+/// instead of being cleared. A caller that profiles millions of
+/// topologies hands the SAME workspace to consecutive calls and pays the
+/// allocations once per thread instead of once per topology. Not
+/// thread-safe: one workspace per thread.
 class ucg_region_workspace {
  public:
   ucg_region_workspace();

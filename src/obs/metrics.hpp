@@ -265,6 +265,12 @@ inline constexpr const char* topologies_profiled =
 /// on).
 inline constexpr const char* region_searches =
     "equilibria.ucg.region_searches";
+/// Region-search work, summed over the profiled topologies and flushed
+/// per shard by the census kernel: (player, paid-set) content windows
+/// computed, and buyer-orientation DFS nodes expanded.
+inline constexpr const char* ucg_player_intervals =
+    "equilibria.ucg.player_intervals";
+inline constexpr const char* ucg_orientations = "equilibria.ucg.orientations";
 /// Orderly generator: candidate children built (post orbit/forest
 /// filters).
 inline constexpr const char* orderly_candidates = "gen.orderly.candidates";

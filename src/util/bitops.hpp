@@ -19,6 +19,26 @@ namespace bnf {
   return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
 }
 
+/// Arithmetic modulo 2^64 for hashing and PRNG mixing, where the wrap is
+/// the point: the result is formed in 128 bits and truncated explicitly,
+/// so -fsanitize=integer (which reports implicit unsigned wraps and bits
+/// shifted out) accepts it as intended.
+[[nodiscard]] constexpr std::uint64_t wrapping_add(std::uint64_t a,
+                                                   std::uint64_t b) noexcept {
+  __extension__ typedef unsigned __int128 wide;
+  return static_cast<std::uint64_t>(static_cast<wide>(a) + b);
+}
+[[nodiscard]] constexpr std::uint64_t wrapping_mul(std::uint64_t a,
+                                                   std::uint64_t b) noexcept {
+  __extension__ typedef unsigned __int128 wide;
+  return static_cast<std::uint64_t>(static_cast<wide>(a) * b);
+}
+/// x << k with the bits shifted out dropped first. Requires 0 <= k < 64.
+[[nodiscard]] constexpr std::uint64_t wrapping_shl(std::uint64_t x,
+                                                   int k) noexcept {
+  return (x & (~std::uint64_t{0} >> k)) << k;
+}
+
 /// Number of set bits.
 [[nodiscard]] constexpr int popcount(std::uint64_t mask) noexcept {
   return std::popcount(mask);

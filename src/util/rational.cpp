@@ -171,6 +171,47 @@ long long checked_mul(long long a, long long b) {
   return result;
 }
 
+namespace {
+
+/// Shared body of the endpoint coders: `open_step` is +1 for a lower and
+/// -1 for an upper endpoint.
+long long endpoint_code(const rational& v, bool closed, long long scale,
+                        long long open_step) {
+  expects(scale >= 1 && scale <= (1LL << 31),
+          "endpoint code: scale out of range");
+  constexpr int128 saturation_floor = int128{1} << 61;
+  constexpr long long saturated = 1LL << 62;
+  // |num| < 2^63 and scale <= 2^31, so the product fits 128 bits.
+  const int128 scaled = static_cast<int128>(v.num) * scale;
+  int128 floor = scaled / v.den;  // den > 0: truncation toward zero
+  const bool on_grid = floor * v.den == scaled;
+  if (!on_grid && scaled < 0) --floor;
+  if (floor >= saturation_floor) return saturated;
+  if (floor <= -saturation_floor) return -saturated;
+  const long long base = 2 * static_cast<long long>(floor);
+  if (!on_grid) return base + 1;
+  return closed ? base : base + open_step;
+}
+
+}  // namespace
+
+long long lower_endpoint_code(const rational& v, bool closed,
+                              long long scale) {
+  expects(!v.is_infinite(), "lower_endpoint_code: infinite endpoint");
+  return endpoint_code(v, closed, scale, 1);
+}
+
+long long upper_endpoint_code(const rational& v, bool closed,
+                              long long scale) {
+  if (v.is_infinite()) return std::numeric_limits<long long>::max();
+  return endpoint_code(v, closed, scale, -1);
+}
+
+rational endpoint_code_value(long long code, long long scale) {
+  expects(code % 2 == 0, "endpoint_code_value: open or off-grid code");
+  return rational::make(code / 2, scale);
+}
+
 std::string to_string(const rational& r) {
   if (r.is_infinite()) return "inf";
   if (r.den == 1) return std::to_string(r.num);

@@ -82,6 +82,27 @@ struct rational {
 [[nodiscard]] long long checked_add(long long a, long long b);
 [[nodiscard]] long long checked_mul(long long a, long long b);
 
+/// Scaled-integer endpoint codes: integer stand-ins for interval endpoints
+/// on a grid of thresholds that are all multiples of 1/scale. The integer
+/// order of two codes is the exact order of the endpoints they code,
+/// closedness included:
+///   lower endpoint v: 2*v*scale when closed, 2*v*scale + 1 when open;
+///   upper endpoint v: 2*v*scale when closed, 2*v*scale - 1 when open;
+///   an upper +infinity codes as LLONG_MAX.
+/// So a coded interval is empty iff lo > hi, intersection is (max lo,
+/// min hi), and two intervals in order connect iff hi + 1 >= lo. An
+/// endpoint off the grid codes as 2*floor(v*scale) + 1 on either side: it
+/// lies strictly between two neighbouring grid points, so it orders
+/// against every grid code exactly as v does. Scaled values of magnitude
+/// 2^61 or more saturate to +/-2^62, beyond every unsaturated code.
+/// Requires 1 <= scale <= 2^31 and, for a lower endpoint, finite v.
+[[nodiscard]] long long lower_endpoint_code(const rational& v, bool closed,
+                                            long long scale);
+[[nodiscard]] long long upper_endpoint_code(const rational& v, bool closed,
+                                            long long scale);
+/// The grid point an even (closed) code stands for: code / (2 * scale).
+[[nodiscard]] rational endpoint_code_value(long long code, long long scale);
+
 /// "p/q", "p" when q == 1, "inf" for +infinity.
 [[nodiscard]] std::string to_string(const rational& r);
 

@@ -96,5 +96,32 @@ TEST(RationalTest, MidpointIsExact) {
             rational::make(5, 12));
 }
 
+TEST(RationalTest, EndpointCodesOrderOnAndOffTheGrid) {
+  // On the 1/840 grid: 3/2 is 2 * 3/2 * 840 = 2520, +-1 when open.
+  const rational three_halves = rational::make(3, 2);
+  EXPECT_EQ(lower_endpoint_code(three_halves, true, 840), 2520);
+  EXPECT_EQ(lower_endpoint_code(three_halves, false, 840), 2521);
+  EXPECT_EQ(upper_endpoint_code(three_halves, true, 840), 2520);
+  EXPECT_EQ(upper_endpoint_code(three_halves, false, 840), 2519);
+  EXPECT_EQ(endpoint_code_value(2520, 840), three_halves);
+  EXPECT_EQ(upper_endpoint_code(rational::infinity(), true, 840),
+            std::numeric_limits<long long>::max());
+  // Off the grid, either side codes strictly between the neighbouring
+  // grid points, closedness aside: 1/1000 * 840 = 0.84, -0.84.
+  for (const bool closed : {true, false}) {
+    EXPECT_EQ(lower_endpoint_code(rational::make(1, 1000), closed, 840), 1);
+    EXPECT_EQ(upper_endpoint_code(rational::make(1, 1000), closed, 840), 1);
+    EXPECT_EQ(lower_endpoint_code(rational::make(-1, 1000), closed, 840), -1);
+  }
+  // Scaled values of magnitude 2^61 or more saturate to +-2^62.
+  const rational far = rational::from_int(1LL << 61);
+  EXPECT_EQ(lower_endpoint_code(far, true, 60), 1LL << 62);
+  EXPECT_EQ(upper_endpoint_code(far, false, 60), 1LL << 62);
+  EXPECT_EQ(lower_endpoint_code(rational::from_int(-(1LL << 61)), false, 1),
+            -(1LL << 62));
+  EXPECT_LT(upper_endpoint_code(rational::make((1LL << 61) - 1, 1), true, 1),
+            1LL << 62);
+}
+
 }  // namespace
 }  // namespace bnf

@@ -22,6 +22,7 @@
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "graph/graph.hpp"
+#include "util/bitops.hpp"
 #include "util/rational.hpp"
 #include "util/rng.hpp"
 
@@ -33,7 +34,7 @@ constexpr std::uint64_t seed_of(std::string_view tag) {
   std::uint64_t h = 0xCBF29CE484222325ULL;
   for (const char ch : tag) {
     h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(ch));
-    h *= 0x100000001B3ULL;
+    h = wrapping_mul(h, 0x100000001B3ULL);
   }
   return h;
 }
@@ -45,7 +46,7 @@ constexpr std::uint64_t fnv1a_words(std::span<const std::uint64_t> words) {
   for (const std::uint64_t word : words) {
     for (int byte = 0; byte < 8; ++byte) {
       h ^= (word >> (8 * byte)) & 0xFFU;
-      h *= 0x100000001B3ULL;
+      h = wrapping_mul(h, 0x100000001B3ULL);
     }
   }
   return h;
