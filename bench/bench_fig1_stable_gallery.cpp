@@ -39,7 +39,7 @@ std::string window_string(const bnf::stability_record& record) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bnf::arg_parser args("bench_fig1_stable_gallery",
                        "Figure 1: properties and stability windows of the "
                        "paper's gallery graphs");
@@ -97,4 +97,7 @@ int main(int argc, char** argv) {
                "denotes a boundary-only window (stable exactly at alpha=a).\n"
                "alpha* = probe link cost (window midpoint); PoA per Eq. 7.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "bench_fig1_stable_gallery: " << error.what() << "\n";
+  return 1;
 }

@@ -13,7 +13,7 @@
 
 #include "bnf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bnf;
   arg_parser args("bench_intermediary_policies",
                   "equilibrium quality under intermediary move scheduling");
@@ -63,4 +63,7 @@ int main(int argc, char** argv) {
                "most of the anarchy gap (PoS = 1 in the BCG), exactly the\n"
                "mediation the paper's Section 6 anticipates.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "bench_intermediary_policies: " << error.what() << "\n";
+  return 1;
 }

@@ -38,7 +38,7 @@ std::string window_text(double lo, double hi, char close_bracket) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bnf::arg_parser args("bench_lemma6_cycles",
                        "Lemma 6: cycle stability windows, measured vs the "
                        "paper's closed forms, and PoA(C_n) = O(1)");
@@ -80,4 +80,7 @@ int main(int argc, char** argv) {
                "rho(C_n) = O(1).\nMeasured windows are exact; PoA at the "
                "window midpoint stays bounded as n grows.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "bench_lemma6_cycles: " << error.what() << "\n";
+  return 1;
 }

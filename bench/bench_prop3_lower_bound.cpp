@@ -11,7 +11,7 @@
 
 #include "bnf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bnf::arg_parser args("bench_prop3_lower_bound",
                        "Prop 3: PoA of Moore-bound-family graphs vs "
                        "log2(alpha)");
@@ -104,4 +104,7 @@ int main(int argc, char** argv) {
          "the lower-bound construction really does need near-Moore\n"
          "density.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "bench_prop3_lower_bound: " << error.what() << "\n";
+  return 1;
 }

@@ -10,7 +10,7 @@
 
 #include "bnf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bnf::arg_parser args("bench_prop4_upper_bound",
                        "Prop 4: worst-case stable PoA vs the "
                        "min(sqrt(alpha), n/sqrt(alpha)) envelope");
@@ -46,4 +46,7 @@ int main(int argc, char** argv) {
                "ratio across the whole sweep. census time: "
             << bnf::fmt_double(timer.seconds(), 2) << " s\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "bench_prop4_upper_bound: " << error.what() << "\n";
+  return 1;
 }

@@ -13,7 +13,7 @@
 
 #include "bnf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bnf::arg_parser args("bench_prop5_nash_containment",
                        "Prop 5 + conjecture: are UCG Nash graphs pairwise "
                        "stable in the BCG at the same alpha?");
@@ -100,4 +100,7 @@ int main(int argc, char** argv) {
     table.print(std::cout);
   }
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "bench_prop5_nash_containment: " << error.what() << "\n";
+  return 1;
 }

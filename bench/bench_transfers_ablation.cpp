@@ -13,7 +13,7 @@
 
 #include "bnf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bnf;
   arg_parser args("bench_transfers_ablation",
                   "PoA of pairwise-stable vs transfer-stable networks");
@@ -87,4 +87,7 @@ int main(int argc, char** argv) {
                "side payments (joint surplus);\n#both / #only_T split the "
                "transfer-stable set by whether plain stability agrees.\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "bench_transfers_ablation: " << error.what() << "\n";
+  return 1;
 }

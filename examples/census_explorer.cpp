@@ -12,7 +12,7 @@
 
 #include "bnf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bnf;
   arg_parser args("census_explorer",
                   "equilibrium landscape over all connected topologies");
@@ -91,4 +91,7 @@ int main(int argc, char** argv) {
                "the re-wiring moves that\nprune inefficient equilibria in "
                "the unilateral game — the paper's Section 4.4.)\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "census_explorer: " << error.what() << "\n";
+  return 1;
 }

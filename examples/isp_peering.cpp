@@ -14,7 +14,7 @@
 
 #include "bnf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bnf;
   arg_parser args("isp_peering",
                   "bilateral peering formation among autonomous systems");
@@ -85,4 +85,7 @@ int main(int argc, char** argv) {
   std::cout << "(decentralized peering trades a little total efficiency "
                "for a much flatter burden)\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "isp_peering: " << error.what() << "\n";
+  return 1;
 }

@@ -12,7 +12,7 @@
 
 #include "bnf.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace bnf;
   arg_parser args("p2p_overlay",
                   "UCG vs BCG overlay formation at matched total edge cost");
@@ -81,4 +81,7 @@ int main(int argc, char** argv) {
                "costs, stable overlays tend to\ncarry more links than the "
                "unilateral ones at the same total edge cost.)\n";
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "p2p_overlay: " << error.what() << "\n";
+  return 1;
 }

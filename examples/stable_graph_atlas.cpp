@@ -63,7 +63,7 @@ void print_card(const bnf::named_graph& entry) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   bnf::arg_parser args("stable_graph_atlas",
                        "atlas of the paper's Figure 1 gallery");
   args.add_string("graph", "", "print only this named graph");
@@ -89,4 +89,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& error) {
+  std::cerr << "stable_graph_atlas: " << error.what() << "\n";
+  return 1;
 }

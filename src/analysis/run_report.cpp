@@ -452,6 +452,8 @@ run_diff diff_runs(const ledger_record& baseline,
   for (const auto& [name, value] : candidate.counters) names.push_back(name);
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
+  const bool pinned =
+      diff.same_workload && baseline.threads == candidate.threads;
   for (const std::string& name : names) {
     const std::uint64_t before = baseline.counter(name);
     const std::uint64_t after = candidate.counter(name);
@@ -463,9 +465,15 @@ run_diff diff_runs(const ledger_record& baseline,
       delta = "-";
       delta += std::to_string(before - after);
     }
+    if (pinned && before != after) {
+      if (!diff.counter_drift.empty()) diff.counter_drift += ", ";
+      diff.counter_drift += name + " " + std::to_string(before) + " → " +
+                            std::to_string(after);
+    }
     table.add_row({name, std::to_string(before), std::to_string(after),
                    delta});
   }
+  if (!diff.counter_drift.empty()) diff.verdict = diff_verdict::regressed;
   diff.table = std::move(table);
   return diff;
 }
@@ -564,6 +572,13 @@ int report_diff(const std::string& ledger_path, arg_parser& args,
   const ledger_record& baseline = runs[baseline_index - 1];
   const ledger_record& candidate = runs[candidate_index - 1];
 
+  const bool gate = args.get_flag("fail-on-regression");
+  expects(!gate || baseline.workload_key() == candidate.workload_key(),
+          "report diff: --fail-on-regression compares one workload, but "
+          "run " + std::to_string(baseline_index) + " is '" +
+              baseline.workload_key() + "' and run " +
+              std::to_string(candidate_index) + " is '" +
+              candidate.workload_key() + "'");
   const run_diff diff =
       diff_runs(baseline, candidate, args.get_double("noise"));
   out << "report diff: run " << baseline_index << " (baseline) vs run "
@@ -579,14 +594,16 @@ int report_diff(const std::string& ledger_path, arg_parser& args,
   }
   out << "\n";
   diff.table.print(out);
-  out << "\nverdict: " << to_string(diff.verdict) << " (wall "
+  if (!diff.counter_drift.empty()) {
+    out << "\ncounter drift (same workload and threads, so every counter "
+           "is pinned): "
+        << diff.counter_drift << "\n";
+  }
+  out << "\nverdict: " << to_string(diff.verdict) << " ("
+      << (diff.counter_drift.empty() ? "" : "counter drift; ") << "wall "
       << fmt_signed_percent(diff.wall_ratio - 1.0) << " vs noise "
       << fmt_percent(diff.noise) << ")\n";
-  if (diff.verdict == diff_verdict::regressed &&
-      args.get_flag("fail-on-regression")) {
-    return 3;
-  }
-  return 0;
+  return diff.verdict == diff_verdict::regressed && gate ? 3 : 0;
 }
 
 }  // namespace
@@ -620,7 +637,8 @@ int run_report_main(int argc, const char* const* argv, std::ostream& out) {
                       "fractional wall-time noise threshold for the "
                       "REGRESSED/IMPROVED verdict");
       args.add_flag("fail-on-regression",
-                    "exit 3 when the verdict is REGRESSED (for CI gates)");
+                    "exit 3 when the verdict is REGRESSED and 1 when the "
+                    "runs are different workloads (for CI gates)");
     } else {
       args.add_int("run", 0,
                    "run number to detail (1-based; default: the last run)");

@@ -9,8 +9,9 @@
 //     microseconds from the ledger's own shard_skew summaries,
 //   * scaling-efficiency fits across runs of the same workload at
 //     different --threads,
-//   * and `report diff`: two runs compared under a noise threshold with a
-//     REGRESSED / OK / IMPROVED verdict.
+//   * and `report diff`: two runs compared under a wall-time noise
+//     threshold and exact counter pins, with a REGRESSED / OK / IMPROVED
+//     verdict. CI's perf gate is this diff against a checked-in ledger.
 //
 // Everything here is a pure reader — it never touches the engine or the
 // registry's live metrics, only the serialized artifacts.
@@ -159,15 +160,21 @@ enum class diff_verdict { improved, ok, regressed };
 
 [[nodiscard]] const char* to_string(diff_verdict verdict);
 
-/// `report diff` result: per-dimension comparison rows plus the verdict,
-/// which is driven by wall time alone — REGRESSED when candidate wall
-/// exceeds baseline by more than `noise` (fractional), IMPROVED when it
-/// undercuts it by more than `noise`, OK otherwise.
+/// `report diff` result: per-dimension comparison rows plus the verdict.
+/// Wall time drives it: REGRESSED when candidate wall exceeds baseline by
+/// more than `noise` (fractional), IMPROVED when it undercuts it by more
+/// than `noise`, OK otherwise. Counters are exact pins: when both runs
+/// share workload_key() and threads, any counter that differs makes the
+/// verdict REGRESSED whatever the noise. Threads must match because the
+/// thread pool's counters move only when threads > 1.
 struct run_diff {
   diff_verdict verdict{diff_verdict::ok};
   double wall_ratio{1};  // candidate / baseline
   double noise{0};
   bool same_workload{true};
+  /// "name before → after" for each drifted counter, comma-separated;
+  /// empty when the counters match or the runs are not comparable.
+  std::string counter_drift;
   text_table table{
       std::vector<std::string>{"metric", "baseline", "candidate", "delta"}};
 };
@@ -183,7 +190,9 @@ struct run_diff {
 /// argv[0] is skipped as the program name; positional tokens (the
 /// optional `diff` keyword and the ledger path) precede the flags.
 /// Returns 0 on success, 1 on errors, and 3 for a REGRESSED verdict under
-/// --fail-on-regression.
+/// --fail-on-regression. --fail-on-regression also makes two different
+/// workloads an error (exit 1), so a changed default param cannot skip the
+/// counter pins.
 int run_report_main(int argc, const char* const* argv, std::ostream& out);
 
 }  // namespace bnf

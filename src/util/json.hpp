@@ -21,7 +21,7 @@ namespace bnf {
 /// Escape a string for inclusion in a JSON string literal (quotes
 /// excluded): ", \, and control characters become their JSON escapes.
 /// Shared by every hand-rolled JSON writer in the tree (sinks, ledger,
-/// trace, bench harness) so the formats cannot drift apart.
+/// trace) so the formats cannot drift apart.
 [[nodiscard]] std::string json_escape(const std::string& text);
 
 /// One parsed JSON value. Parse with json_value::parse; navigate with

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@ const std::string kDataDir = BILATNET_TEST_DATA;
 const std::string kLedger = kDataDir + "/report_fixture_ledger.jsonl";
 const std::string kMetrics = kDataDir + "/report_fixture_metrics.json";
 const std::string kTrace = kDataDir + "/report_fixture_trace.json";
+const std::string kGateBaseline = kDataDir + "/perf_gate_baseline.jsonl";
 
 TEST(JsonParserTest, ParsesScalarsContainersAndEscapes) {
   const json_value doc = json_value::parse(
@@ -260,7 +262,8 @@ TEST(DiffTest, VerdictsOnDoctoredCopies) {
   // turns the regression into OK too (threshold is the caller's).
   EXPECT_EQ(diff_runs(baseline, regressed, 1.5).verdict, diff_verdict::ok);
 
-  // Counter drift shows up as a +delta row.
+  // Counter drift shows up as a +delta row, and on the same workload and
+  // threads it is REGRESSED however wide the noise band is.
   ledger_record drifted = baseline;
   for (auto& [name, value] : drifted.counters) {
     if (name == obs::names::topologies_profiled) value += 5;
@@ -274,6 +277,33 @@ TEST(DiffTest, VerdictsOnDoctoredCopies) {
     }
   }
   EXPECT_TRUE(saw_drift_row);
+  EXPECT_EQ(drift.verdict, diff_verdict::regressed);
+  EXPECT_EQ(drift.counter_drift,
+            std::string(obs::names::topologies_profiled) + " 853 → 858");
+  const run_diff wide = diff_runs(baseline, drifted, 1.5);
+  EXPECT_EQ(wide.verdict, diff_verdict::regressed);
+  EXPECT_FALSE(wide.counter_drift.empty());
+  EXPECT_TRUE(ok.counter_drift.empty());
+
+  // The thread pool's counters appear only when threads > 1, so a run at
+  // other threads is not pinned against the baseline's counters.
+  ledger_record threaded = baseline;
+  threaded.threads = baseline.threads + 3;
+  threaded.counters.emplace_back(obs::names::pool_dispatches, 13);
+  const run_diff cross_threads = diff_runs(baseline, threaded, 0.05);
+  EXPECT_TRUE(cross_threads.same_workload);
+  EXPECT_TRUE(cross_threads.counter_drift.empty());
+  EXPECT_EQ(cross_threads.verdict, diff_verdict::ok);
+
+  // Another n is another workload: its counters are not drift either.
+  ledger_record bigger = drifted;
+  for (auto& [name, value] : bigger.params) {
+    if (name == "n") value = "8";
+  }
+  const run_diff other_workload = diff_runs(baseline, bigger, 0.05);
+  EXPECT_FALSE(other_workload.same_workload);
+  EXPECT_TRUE(other_workload.counter_drift.empty());
+  EXPECT_EQ(other_workload.verdict, diff_verdict::ok);
 
   EXPECT_EQ(std::string(to_string(diff_verdict::regressed)), "REGRESSED");
   EXPECT_EQ(std::string(to_string(diff_verdict::improved)), "IMPROVED");
@@ -308,6 +338,64 @@ TEST(ReportMainTest, DiffModeYieldsADeterministicVerdict) {
       0);
   EXPECT_EQ(first.str(), second.str());
   EXPECT_NE(first.str().find("verdict:"), std::string::npos) << first.str();
+}
+
+// Writes `lines` as a ledger file in the test temp dir and returns its path.
+std::string write_ledger(const std::string& name,
+                         const std::vector<std::string>& lines) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream file(path);
+  for (const std::string& line : lines) file << line << "\n";
+  return path;
+}
+
+int run_diff_gate(const std::string& ledger, std::ostringstream& out) {
+  const std::array argv{"prog",        "diff", ledger.c_str(), "--baseline",
+                        "1",           "--candidate",          "2",
+                        "--fail-on-regression"};
+  return run_report_main(static_cast<int>(argv.size()), argv.data(), out);
+}
+
+TEST(ReportMainTest, GateFailsOnCounterDriftAndOnAnotherWorkload) {
+  const std::string fixture = read_file(kLedger, "run_report_test");
+  const std::string base = fixture.substr(0, fixture.find('\n'));
+  const std::string pin = "\"gen.orderly.candidates\":5759";
+  ASSERT_NE(base.find(pin), std::string::npos) << base;
+  std::string drifted = base;
+  drifted.replace(drifted.find(pin), pin.size(),
+                  "\"gen.orderly.candidates\":5760");
+
+  std::ostringstream same_out;
+  EXPECT_EQ(run_diff_gate(write_ledger("gate_same.jsonl", {base, base}),
+                          same_out),
+            0)
+      << same_out.str();
+  EXPECT_EQ(same_out.str().find("counter drift"), std::string::npos);
+
+  std::ostringstream drift_out;
+  EXPECT_EQ(run_diff_gate(write_ledger("gate_drift.jsonl", {base, drifted}),
+                          drift_out),
+            3);
+  EXPECT_NE(drift_out.str().find("counter drift"), std::string::npos)
+      << drift_out.str();
+  EXPECT_NE(drift_out.str().find("gen.orderly.candidates 5759 → 5760"),
+            std::string::npos)
+      << drift_out.str();
+  EXPECT_NE(drift_out.str().find("verdict: REGRESSED"), std::string::npos);
+
+  // The checked-in gate baseline holds CI's two pinned workloads at one
+  // thread; diffing one against the other under the gate is an error.
+  const std::vector<ledger_record> pinned = load_ledger(kGateBaseline);
+  ASSERT_EQ(pinned.size(), 2u);
+  EXPECT_EQ(pinned[0].workload_key(),
+            "poa-curve seed=9 n=7 memory-budget=512 skip-ucg=false");
+  EXPECT_EQ(pinned[1].workload_key(), "price-of-stability seed=9 n=7");
+  for (const ledger_record& run : pinned) {
+    EXPECT_EQ(run.threads, 1);
+    EXPECT_EQ(run.counter(obs::names::topologies_profiled), 853u);
+  }
+  std::ostringstream mismatch_out;
+  EXPECT_EQ(run_diff_gate(kGateBaseline, mismatch_out), 1);
 }
 
 TEST(ReportMainTest, ErrorsReturnOneAndHelpReturnsZero) {

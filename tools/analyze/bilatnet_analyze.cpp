@@ -1578,8 +1578,7 @@ void check_metric_name_literal(const source_file& file,
   // artifacts; a quoted name there drifts the day a producer renames it.
   static const std::regex name_literal_re(
       R"("(engine|census|equilibria|gen|poa_stream|thread_pool)\.[A-Za-z0-9_.]+")");
-  const bool consumer = starts_with_any(
-      file.rel, {"src/analysis/run_report.", "bench/harness."});
+  const bool consumer = file.rel.starts_with("src/analysis/run_report.");
   for (std::size_t i = 0; i < file.lines.size(); ++i) {
     const std::string& raw = file.lines[i].raw;
     if (std::regex_search(raw, metric_re)) {
@@ -1736,8 +1735,8 @@ bool analyzable(const fs::path& path) {
 
 // The whole-program index covers the library and its tools; the line-local
 // rules cover the library and its drivers. Widening the index would flag
-// the drivers' flat "bnf.hpp"/"harness.hpp" includes, and widening the
-// line rules would flag this tool's own exits.
+// the drivers' flat "bnf.hpp" includes, and widening the line rules would
+// flag this tool's own exits.
 bool indexed(const std::string& rel) {
   return !starts_with_any(rel, {"bench/", "examples/"});
 }
