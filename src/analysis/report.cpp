@@ -47,25 +47,6 @@ text_table figure3_table(std::span<const census_point> points) {
   return table;
 }
 
-text_table worst_case_table(std::span<const census_point> points, int n) {
-  text_table table({"tau", "alpha_BCG", "#stable_BCG", "maxPoA_BCG",
-                    "sqrt(alpha)", "min(sqrt,n/sqrt)", "ratio"});
-  for (const auto& point : points) {
-    const double alpha = point.alpha_bcg;
-    const double root = std::sqrt(alpha);
-    const double envelope = std::min(root, static_cast<double>(n) / root);
-    table.add_row(
-        {fmt_double(point.tau), fmt_double(alpha),
-         count_or_dash(point.bcg.count),
-         stat_or_dash(point.bcg.count, point.bcg.max_poa, 4), fmt_double(root),
-         fmt_double(envelope),
-         stat_or_dash(point.bcg.count,
-                      point.bcg.count > 0 ? point.bcg.max_poa / envelope : 0.0,
-                      4)});
-  }
-  return table;
-}
-
 text_table price_of_stability_table(std::span<const census_point> points) {
   text_table table({"tau", "alpha_BCG", "#stable_BCG", "PoS_BCG", "PoA_BCG",
                     "alpha_UCG", "#nash_UCG", "PoS_UCG", "PoA_UCG"});

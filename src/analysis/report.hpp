@@ -20,11 +20,6 @@ namespace bnf {
 /// link cost.
 [[nodiscard]] text_table figure3_table(std::span<const census_point> points);
 
-/// Worst-case (max) PoA per grid point with the Prop 4 reference envelope
-/// c * min(sqrt(alpha), n/sqrt(alpha)).
-[[nodiscard]] text_table worst_case_table(std::span<const census_point> points,
-                                          int n);
-
 /// Price-of-stability series: the BEST equilibrium's PoA per grid point,
 /// both games. The paper notes the welfare optimum is itself stable in
 /// both games, so these columns should pin to 1 wherever equilibria exist.

@@ -34,8 +34,9 @@ class scenario_registry {
   std::map<std::string, std::unique_ptr<scenario>> entries_;
 };
 
-/// Register every built-in scenario (fig2, fig3, price-of-stability,
-/// sampler-validation, quickstart) into the global registry. Idempotent.
+/// Register every built-in scenario (fig2, fig3, poa-curve,
+/// price-of-stability, paper-claims, sampler-validation, quickstart) into
+/// the global registry. Idempotent.
 void register_builtin_scenarios();
 
 /// Usage text for one scenario: its flags plus the engine's common flags,

@@ -28,8 +28,4 @@ link_convexity_result analyze_link_convexity(const graph& g) {
   return result;
 }
 
-bool is_link_convex(const graph& g) {
-  return analyze_link_convexity(g).convex;
-}
-
 }  // namespace bnf

@@ -27,7 +27,4 @@ struct link_convexity_result {
 /// Evaluate Definition 6 on a connected graph.
 [[nodiscard]] link_convexity_result analyze_link_convexity(const graph& g);
 
-/// Convenience predicate.
-[[nodiscard]] bool is_link_convex(const graph& g);
-
 }  // namespace bnf

@@ -192,12 +192,10 @@ alpha_interval to_alpha_interval(const stability_record& record) {
   alpha_interval window;
   window.lo = rational::from_int(static_cast<long long>(record.alpha_min));
   window.lo_closed = record.boundary_stable && record.alpha_min > 0;
-  if (std::isinf(record.alpha_max)) {
-    window.hi = rational::infinity();
-    window.hi_closed = false;
-  } else {
+  // hi_closed keeps its canonical `true` when the window is unbounded, so
+  // covers() compares it correctly against other unbounded intervals.
+  if (!std::isinf(record.alpha_max)) {
     window.hi = rational::from_int(static_cast<long long>(record.alpha_max));
-    window.hi_closed = true;
   }
   return window;
 }

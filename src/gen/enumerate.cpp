@@ -400,14 +400,4 @@ std::uint64_t count_graphs(int n, const enumeration_options& options) {
   return total;
 }
 
-std::vector<graph> all_trees(int n) {
-  expects(n >= 1 && n <= max_enumeration_order,
-          order_range_message("all_trees"));
-  std::vector<graph> trees;
-  for_each_graph(
-      n, [&](const graph& g) { trees.push_back(g); },
-      {.connected_only = true, .forests_only = true});
-  return trees;
-}
-
 }  // namespace bnf

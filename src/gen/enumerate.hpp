@@ -69,7 +69,7 @@ struct enumeration_options {
   /// Restrict GENERATION to acyclic graphs (a hereditary prune: every
   /// construction-path ancestor of a forest is a forest, so whole
   /// subtrees are skipped). Combined with connected_only this enumerates
-  /// exactly the trees — all_trees(11) touches 235 classes, not 1.01B.
+  /// exactly the trees — at n = 11 that touches 235 classes, not 1.01B.
   bool forests_only{false};
   int threads{0};  // 0 = hardware concurrency
 };
@@ -156,10 +156,5 @@ void for_each_graph(int n, const std::function<void(const graph&)>& fn,
 /// admits is countable.
 [[nodiscard]] std::uint64_t count_graphs(int n,
                                          const enumeration_options& options = {});
-
-/// All non-isomorphic trees on n vertices, sorted by canonical key. The
-/// forest prune makes this near-instant at every supported order (235
-/// classes at n = 11), never touching the general census.
-[[nodiscard]] std::vector<graph> all_trees(int n);
 
 }  // namespace bnf

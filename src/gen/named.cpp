@@ -74,19 +74,6 @@ graph wheel(int n) {
   return g;
 }
 
-graph hypercube(int d) {
-  expects(d >= 0 && d <= 6, "hypercube: requires 0 <= d <= 6");
-  const int n = 1 << d;
-  graph g(n);
-  for (int u = 0; u < n; ++u) {
-    for (int b = 0; b < d; ++b) {
-      const int v = u ^ (1 << b);
-      if (u < v) g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
 graph circulant(int n, std::span<const int> offsets) {
   expects(n >= 2, "circulant: requires n >= 2");
   graph g(n);

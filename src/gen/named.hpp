@@ -28,8 +28,6 @@ namespace bnf {
 [[nodiscard]] graph complete_multipartite(std::span<const int> parts);
 /// Wheel W_n: cycle on n-1 vertices plus a hub (vertex 0). Requires n >= 4.
 [[nodiscard]] graph wheel(int n);
-/// Hypercube Q_d on 2^d vertices. Requires 0 <= d <= 6.
-[[nodiscard]] graph hypercube(int d);
 /// Circulant graph C_n(offsets). Requires n >= 2, offsets in [1, n/2].
 [[nodiscard]] graph circulant(int n, std::span<const int> offsets);
 

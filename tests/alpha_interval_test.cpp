@@ -276,6 +276,12 @@ TEST(AlphaIntervalTest, StabilityRecordBridgeMatchesStableAt) {
           << to_string(window) << " at " << alpha;
     }
   }
+  // An unbounded window carries the canonical hi_closed flag, so a set
+  // holding it covers the same window in default form.
+  alpha_interval_set tail;
+  tail.add(to_alpha_interval(unbounded));
+  EXPECT_TRUE(tail.covers({rational::from_int(1), rational::infinity(),
+                           false, true}));
 }
 
 }  // namespace

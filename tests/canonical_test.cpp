@@ -89,7 +89,7 @@ TEST(CanonicalTest, CanonicalFormInvariantUnderRelabeling) {
 TEST(CanonicalTest, CanonicalFormInvariantForSymmetricGraphs) {
   rng random = testing::seeded_rng();
   for (const graph& g : {complete(8), cycle(10), petersen(), star(9),
-                         complete_bipartite(4, 5), hypercube(3),
+                         complete_bipartite(4, 5), testing::hypercube(3),
                          octahedron(), paley(13)}) {
     const graph canon = canonical_form(g).canonical;
     for (int trial = 0; trial < 10; ++trial) {
@@ -163,8 +163,8 @@ TEST(CanonicalTest, ClassicIsomorphicPair) {
 }
 
 TEST(CanonicalTest, OrbitsOfVertexTransitiveGraphs) {
-  for (const graph& g :
-       {cycle(8), complete(6), petersen(), hypercube(3), octahedron()}) {
+  for (const graph& g : {cycle(8), complete(6), petersen(),
+                         testing::hypercube(3), octahedron()}) {
     EXPECT_EQ(orbit_count(g), 1) << to_string(g);
   }
 }

@@ -40,7 +40,7 @@ TEST(ConvexityTest, BundleMustBeIncident) {
 TEST(ConvexityTest, Lemma1HoldsOnNamedGraphs) {
   // Lemma 1: the BCG cost function is convex on every graph.
   for (const graph& g : {cycle(6), petersen(), star(7), complete(5),
-                         wheel(6), hypercube(3), dodecahedron()}) {
+                         wheel(6), testing::hypercube(3), dodecahedron()}) {
     EXPECT_TRUE(is_cost_convex(g)) << to_string(g);
   }
 }

@@ -35,7 +35,7 @@ TEST_P(GalleryWindowSuite, ExactWindow) {
   const auto record = compute_stability_record(c.g);
   EXPECT_DOUBLE_EQ(record.alpha_min, c.alpha_min) << c.name;
   EXPECT_DOUBLE_EQ(record.alpha_max, c.alpha_max) << c.name;
-  EXPECT_EQ(is_link_convex(c.g), c.link_convex) << c.name;
+  EXPECT_EQ(analyze_link_convexity(c.g).convex, c.link_convex) << c.name;
 }
 
 TEST_P(GalleryWindowSuite, WindowAgreesWithDirectChecks) {

@@ -4,6 +4,7 @@
 
 #include "gen/named.hpp"
 #include "graph/paths.hpp"
+#include "testing.hpp"
 
 namespace bnf {
 namespace {
@@ -58,7 +59,7 @@ TEST(MetricsTest, Bipartiteness) {
   EXPECT_TRUE(is_bipartite(tutte_coxeter()));
   EXPECT_FALSE(is_bipartite(petersen()));
   EXPECT_TRUE(is_bipartite(graph(3)));  // edgeless
-  EXPECT_TRUE(is_bipartite(hypercube(4)));
+  EXPECT_TRUE(is_bipartite(testing::hypercube(4)));
 }
 
 TEST(MetricsTest, TriangleCounts) {
@@ -84,7 +85,7 @@ TEST(MetricsTest, MooreGraphDetection) {
   EXPECT_TRUE(is_moore_graph(cycle(7)));     // odd cycles are k=2 Moore
   EXPECT_FALSE(is_moore_graph(mcgee()));
   EXPECT_FALSE(is_moore_graph(star(5)));
-  EXPECT_FALSE(is_moore_graph(hypercube(3)));
+  EXPECT_FALSE(is_moore_graph(testing::hypercube(3)));
 }
 
 TEST(MetricsTest, CageLowerBounds) {

@@ -54,7 +54,6 @@ INSTANTIATE_TEST_SUITE_P(
         named_case{"moebius_kantor", moebius_kantor(), 16, 24, 3, 6, 4},
         named_case{"star8", star(8), 8, 7, -1, 0, 2},
         named_case{"wheel6", wheel(6), 6, 10, -1, 3, 2},
-        named_case{"hypercube4", hypercube(4), 16, 32, 4, 4, 4},
         named_case{"paley13", paley(13), 13, 39, 6, 3, 2}),
     [](const auto& name_info) { return std::string(name_info.param.name); });
 
@@ -67,7 +66,6 @@ TEST(NamedGraphsTest, ElementaryFamilies) {
   EXPECT_EQ(complete_bipartite(3, 4).size(), 12);
   EXPECT_TRUE(is_bipartite(complete_bipartite(3, 4)));
   EXPECT_EQ(wheel(5).degree(0), 4);
-  EXPECT_EQ(hypercube(0).order(), 1);
 }
 
 TEST(NamedGraphsTest, CompleteMultipartiteOctahedron) {
@@ -83,7 +81,6 @@ TEST(NamedGraphsTest, PreconditionsEnforced) {
   EXPECT_THROW((void)star(0), precondition_error);
   EXPECT_THROW((void)cycle(2), precondition_error);
   EXPECT_THROW((void)wheel(3), precondition_error);
-  EXPECT_THROW((void)hypercube(7), precondition_error);
   EXPECT_THROW((void)generalized_petersen(6, 3), precondition_error);  // k < n/2
   EXPECT_THROW((void)paley(11), precondition_error);                   // 11 % 4 != 1
   EXPECT_THROW((void)paley(25), precondition_error);                   // not prime

@@ -154,7 +154,7 @@ alpha_interval naive_bcg_interval(const graph& g) {
     return static_cast<int>(queue.size()) == n ? sum : -1;
   };
   alpha_interval window{rational::from_int(0), rational::infinity(), false,
-                        false};
+                        true};
   for (int u = 0; u < n; ++u) {
     for (int v = u + 1; v < n; ++v) {
       if (adj[u][v]) {
@@ -175,7 +175,7 @@ alpha_interval naive_bcg_interval(const graph& g) {
         const long long du = distance_sum(u, u, u) - distance_sum(u, u, v);
         const long long dv = distance_sum(v, v, v) - distance_sum(v, u, v);
         window = window.intersect({rational::from_int(std::min(du, dv)),
-                                   rational::infinity(), du == dv, false});
+                                   rational::infinity(), du == dv, true});
       }
     }
   }
@@ -268,7 +268,7 @@ TEST_P(CycleWindowSuite, Lemma6MeasuredWindowsAreExact) {
   // Exact windows for cycles, verified against per-alpha Definition 3
   // checks just inside/outside the window. (The paper's closed forms match
   // for even n; for odd n the measured alpha_max is (n-1)^2/4, not
-  // (n+1)(n-1)/4 — see EXPERIMENTS.md.)
+  // (n+1)(n-1)/4 — the Lemma 6 row of tests/data/paper_claims_n7.csv.)
   const int n = GetParam();
   const graph g = cycle(n);
   const auto interval = compute_stability_interval(g);

@@ -128,7 +128,7 @@ TEST(PathsTest, GirthOnKnownGraphs) {
   EXPECT_EQ(girth(heawood()), 6);
   EXPECT_EQ(girth(mcgee()), 7);
   EXPECT_EQ(girth(tutte_coxeter()), 8);
-  EXPECT_EQ(girth(hypercube(3)), 4);
+  EXPECT_EQ(girth(testing::hypercube(3)), 4);
   EXPECT_EQ(girth(path(5)), 0);   // acyclic
   EXPECT_EQ(girth(star(6)), 0);   // acyclic
 }

@@ -31,7 +31,8 @@ TEST(ProperTest, ProperWindowMatchesLinkConvexity) {
   // Prop 2: nonempty window iff link convex.
   for (const auto& entry : paper_gallery()) {
     const auto window = proper_equilibrium_window(entry.g);
-    EXPECT_EQ(window.nonempty(), is_link_convex(entry.g)) << entry.name;
+    EXPECT_EQ(window.nonempty(), analyze_link_convexity(entry.g).convex)
+        << entry.name;
   }
 }
 

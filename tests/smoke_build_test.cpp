@@ -73,7 +73,7 @@ TEST(SmokeBuildTest, AnalysisSubsystem) {
   const std::array<double, 2> taus{0.5, 2.0};
   const auto points = census_sweep(3, taus, {});
   std::ostringstream sink;
-  worst_case_table(points, 3).print(sink);
+  figure2_table(points).print(sink);
   EXPECT_FALSE(sink.str().empty());
 }
 

@@ -96,15 +96,6 @@ TEST(ReportTest, EmptyEquilibriumSetRendersDashes) {
   EXPECT_NE(out.str().find("-"), std::string::npos);
 }
 
-TEST(ReportTest, WorstCaseTableIncludesEnvelope) {
-  const std::array<census_point, 1> points{sample_point()};
-  const text_table table = worst_case_table(points, 8);
-  std::ostringstream out;
-  table.print(out);
-  EXPECT_NE(out.str().find("min(sqrt,n/sqrt)"), std::string::npos);
-  EXPECT_NE(out.str().find("1.31"), std::string::npos);
-}
-
 TEST(ReportTest, PriceOfStabilityTableShape) {
   const std::array<census_point, 1> points{sample_point()};
   const text_table table = price_of_stability_table(points);

@@ -88,6 +88,19 @@ inline std::vector<graph> small_stars(int max_n = 7) {
   return out;
 }
 
+/// The hypercube Q_d on 2^d vertices: labels adjacent when they differ in
+/// one bit. Requires 0 <= d <= 6.
+inline graph hypercube(int d) {
+  graph g(1 << d);
+  for (int u = 0; u < g.order(); ++u) {
+    for (int b = 0; b < d; ++b) {
+      const int v = u ^ (1 << b);
+      if (u < v) g.add_edge(u, v);
+    }
+  }
+  return g;
+}
+
 /// The union gallery: every path, cycle and star fixture in one sweep —
 /// the canonical input set for invariance-style assertions.
 inline std::vector<graph> small_gallery(int max_n = 7) {
