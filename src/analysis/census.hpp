@@ -46,8 +46,8 @@ struct census_options {
 /// describes taus[i], whatever the order of `taus` and however often a
 /// value repeats. Requires 2 <= n <= max_enumeration_order (n=8 takes
 /// seconds; n=10, the paper's setting, walks 11.7M topologies). Performs
-/// one exact stability analysis per topology and never the per-alpha
-/// search (a `forbid-reach` policy in tools/analyze/layers.txt).
+/// one exact stability analysis per topology and never a per-alpha UCG
+/// query (a `forbid-reach` policy in tools/analyze/layers.txt).
 [[nodiscard]] std::vector<census_point> census_sweep(
     int n, std::span<const double> taus, const census_options& options = {});
 

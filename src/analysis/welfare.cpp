@@ -20,28 +20,6 @@ std::vector<double> bcg_cost_profile(const graph& g, double alpha) {
   return costs;
 }
 
-std::vector<double> ucg_cost_profile(
-    const graph& g, double alpha,
-    const std::vector<std::pair<int, int>>& orientation) {
-  expects(is_connected(g), "ucg_cost_profile: requires connected graph");
-  expects(alpha > 0, "ucg_cost_profile: requires alpha > 0");
-  expects(static_cast<int>(orientation.size()) == g.size(),
-          "ucg_cost_profile: orientation must cover every edge");
-  std::vector<int> bought(static_cast<std::size_t>(g.order()), 0);
-  for (const auto& [buyer, other] : orientation) {
-    expects(g.has_edge(buyer, other),
-            "ucg_cost_profile: orientation names a non-edge");
-    ++bought[static_cast<std::size_t>(buyer)];
-  }
-  std::vector<double> costs(static_cast<std::size_t>(g.order()));
-  for (int v = 0; v < g.order(); ++v) {
-    costs[static_cast<std::size_t>(v)] =
-        alpha * bought[static_cast<std::size_t>(v)] +
-        static_cast<double>(distance_sum(g, v).sum);
-  }
-  return costs;
-}
-
 welfare_summary summarize_welfare(const std::vector<double>& costs) {
   expects(!costs.empty(), "summarize_welfare: empty profile");
   welfare_summary summary;

@@ -2,9 +2,9 @@
 //
 // The paper's aggregate lens (social cost, PoA) hides a distributional
 // story: in the efficient star the hub pays alpha*(n-1) + (n-1) while a
-// leaf pays alpha + (2n-3). This module exposes per-player cost profiles
-// and inequality summaries for both games, so the examples and ablations
-// can report *how* the burden of a stable topology is shared.
+// leaf pays alpha + (2n-3). This module exposes BCG per-player cost
+// profiles and inequality summaries, so the examples and ablations can
+// report *how* the burden of a stable topology is shared.
 #pragma once
 
 #include <vector>
@@ -18,13 +18,6 @@ namespace bnf {
 /// (alpha * degree + distance sum). Requires connected g.
 [[nodiscard]] std::vector<double> bcg_cost_profile(const graph& g,
                                                    double alpha);
-
-/// Per-player costs in the UCG given a buyer orientation: orientation[e]
-/// = (buyer, other) for every edge of g. Requires connected g and a
-/// complete orientation of E(g).
-[[nodiscard]] std::vector<double> ucg_cost_profile(
-    const graph& g, double alpha,
-    const std::vector<std::pair<int, int>>& orientation);
 
 /// Summary statistics of a cost profile.
 struct welfare_summary {

@@ -37,13 +37,4 @@ bool is_transfer_stable(const graph& g, double alpha) {
   return compute_transfer_stability_interval(g).contains(alpha);
 }
 
-transfer_relation classify_transfer_relation(const graph& g, double alpha) {
-  const bool plain = is_pairwise_stable(g, alpha);
-  const bool with_transfers = is_transfer_stable(g, alpha);
-  if (plain && with_transfers) return transfer_relation::both_stable;
-  if (plain) return transfer_relation::only_plain_stable;
-  if (with_transfers) return transfer_relation::only_transfer_stable;
-  return transfer_relation::neither;
-}
-
 }  // namespace bnf

@@ -33,16 +33,4 @@ namespace bnf {
 /// transfer-stable (a bridging pair always has infinite joint surplus).
 [[nodiscard]] bool is_transfer_stable(const graph& g, double alpha);
 
-/// Transfers weaken nothing that plain stability guarantees on the
-/// addition side and strengthen the severance side; the sets are
-/// generally incomparable. This helper reports the relation at alpha.
-enum class transfer_relation {
-  both_stable,
-  only_plain_stable,
-  only_transfer_stable,
-  neither,
-};
-[[nodiscard]] transfer_relation classify_transfer_relation(const graph& g,
-                                                           double alpha);
-
 }  // namespace bnf

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "equilibria/pairwise_stability.hpp"
 #include "graph/paths.hpp"
@@ -22,41 +21,6 @@ namespace {
 obs::counter& region_search_counter() {
   static obs::counter& c = obs::get_counter(obs::names::region_searches);
   return c;
-}
-
-// Shared deviation scan: calls `on_candidate(cost, subset)` for every
-// feasible (connected) deviation subset whose lower bound does not already
-// exceed `bound`. Returns the number of BFS evaluations performed.
-template <typename OnCandidate>
-long long scan_deviations(const graph& g, double alpha, int i,
-                          std::uint64_t kept_row, double bound,
-                          OnCandidate&& on_candidate) {
-  const int n = g.order();
-  const std::uint64_t others = g.vertex_mask() & ~bit(i);
-  const double floor_cost = 2.0 * (n - 1);
-  long long evaluations = 0;
-
-  std::uint64_t subset = others;
-  while (true) {
-    const int k = popcount(subset);
-    // Distance-1 vertices after the deviation: bought links plus the ones
-    // the other side keeps paying for. Everyone else is at >= 2 hops, so
-    // cost >= alpha*k + reach + 2*(n-1-reach).
-    const int reach = popcount(subset | kept_row);
-    const double lower = alpha * k + floor_cost - reach;
-    if (lower <= bound) {
-      const auto [sum, unreached] =
-          distance_sum_with_row(g, i, kept_row | subset);
-      ++evaluations;
-      if (unreached == 0) {
-        const double cost = alpha * k + static_cast<double>(sum);
-        if (!on_candidate(cost, subset)) break;
-      }
-    }
-    if (subset == 0) break;
-    subset = (subset - 1) & others;
-  }
-  return evaluations;
 }
 
 // --- exact scaled-integer endpoint codes --------------------------------
@@ -117,13 +81,11 @@ struct code_window {
 // S induces the line alpha * |S| + distsum(kept | S); comparing it with
 // the current line alpha * k_cur + dist_cur yields one half-line
 // constraint. All constraints are weak (a tie never strictly improves),
-// so the window is closed wherever the scan bounds it. This is the one
-// content scan: the region search seeds it with the single-flip bounds,
-// the per-alpha checker with the point window [alpha, alpha].
+// so the window is closed wherever the scan bounds it. The region search
+// seeds it with the player's single-flip bounds.
 code_window player_content_interval(const graph& g, const threshold_grid& grid,
                                     int i, std::uint64_t kept_row, int k_cur,
-                                    long long dist_cur, code_window window,
-                                    long long* bfs_evaluations) {
+                                    long long dist_cur, code_window window) {
   const int n = g.order();
   const auto& step = grid.step;
   // Buying a link the other side already keeps paying for leaves the row
@@ -172,7 +134,6 @@ code_window player_content_interval(const graph& g, const threshold_grid& grid,
     if (has_bit(live, k_dev)) {
       const auto [sum, unreached] =
           distance_sum_with_row(g, i, kept_row | subset);
-      if (bfs_evaluations != nullptr) ++*bfs_evaluations;
       bool tightened = false;
       if (unreached == 0) {
         if (k_dev > k_cur) {
@@ -205,75 +166,6 @@ code_window player_content_interval(const graph& g, const threshold_grid& grid,
   }
   return window;
 }
-
-struct orientation_search {
-  const graph& g;
-  code_window alpha;  // the query link cost as the point window [alpha, alpha]
-  const ucg_nash_options& options;
-  std::vector<std::pair<int, int>> edges;          // (u, v)
-  std::vector<int> candidates;                     // bitmask: 1=u may buy, 2=v
-  std::vector<std::uint64_t> paid;                 // per-player paid mask
-  std::vector<int> unassigned_incident;            // per-player countdown
-  std::vector<long long> base_distance;            // distsum_i(G)
-  std::vector<int> chosen_buyer;                   // per edge, during DFS
-  std::unordered_map<std::uint64_t, bool> happy_memo;
-  long long best_response_checks{0};
-  long long orientations_tried{0};
-
-  bool player_happy(int i) {
-    const std::uint64_t mask = paid[static_cast<std::size_t>(i)];
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(i) << 32) | mask;
-    if (const auto it = happy_memo.find(key); it != happy_memo.end()) {
-      return it->second;
-    }
-    // Point query of the content scan: the player has no strictly
-    // improving deviation at alpha iff alpha survives in its exact
-    // content window. The endpoint codes order alpha against every
-    // threshold exactly, so the answer is exact to the last ulp of alpha.
-    const code_window window = player_content_interval(
-        g, threshold_grids[static_cast<std::size_t>(g.order())], i,
-        g.neighbors(i) & ~mask, popcount(mask),
-        base_distance[static_cast<std::size_t>(i)], alpha,
-        &best_response_checks);
-    ensures(best_response_checks <= options.max_best_response_checks,
-            "ucg_nash: best-response budget exceeded");
-    const bool happy = !window.empty();
-    happy_memo.emplace(key, happy);
-    return happy;
-  }
-
-  bool assign(std::size_t index) {
-    if (index == edges.size()) return true;
-    ++orientations_tried;
-    const auto [u, v] = edges[index];
-    for (int side = 0; side < 2; ++side) {
-      if (!(candidates[index] & (1 << side))) continue;
-      const int buyer = side == 0 ? u : v;
-      const int other = side == 0 ? v : u;
-      paid[static_cast<std::size_t>(buyer)] |= bit(other);
-      --unassigned_incident[static_cast<std::size_t>(u)];
-      --unassigned_incident[static_cast<std::size_t>(v)];
-
-      bool feasible = true;
-      if (unassigned_incident[static_cast<std::size_t>(u)] == 0) {
-        feasible = player_happy(u);
-      }
-      if (feasible && unassigned_incident[static_cast<std::size_t>(v)] == 0) {
-        feasible = player_happy(v);
-      }
-      if (feasible) {
-        chosen_buyer[index] = buyer;
-        if (assign(index + 1)) return true;
-      }
-
-      paid[static_cast<std::size_t>(buyer)] &= ~bit(other);
-      ++unassigned_incident[static_cast<std::size_t>(u)];
-      ++unassigned_incident[static_cast<std::size_t>(v)];
-    }
-    return false;
-  }
-};
 
 }  // namespace
 
@@ -348,7 +240,7 @@ struct interval_search {
     });
     slot.window = player_content_interval(g, grid, i, g.neighbors(i) & ~mask,
                                           popcount(mask), flips.base[player],
-                                          seed, nullptr);
+                                          seed);
     slot.epoch = s.epoch;
     return slot.window;
   }
@@ -564,13 +456,17 @@ ucg_region_result ucg_nash_alpha_region(const graph& g,
   return result;
 }
 
-alpha_interval ucg_nash_interval(const graph& g) {
-  const ucg_region_result result = ucg_nash_alpha_region(g);
-  if (result.region.empty()) return alpha_interval::empty_interval();
-  ensures(result.region.parts().size() == 1,
-          "ucg_nash_interval: multi-component Nash region (use "
-          "ucg_nash_alpha_region)");
-  return result.region.parts().front();
+bool is_ucg_nash(const graph& g, double alpha) {
+  expects(alpha > 0, "is_ucg_nash: requires alpha > 0");
+  // Genuine thresholds on at most 16 vertices all lie in [1/15, ~2n^2], so
+  // the query is first clamped into [2^-4, 2^20]: decisions are constant
+  // beyond that band, and every double in it keeps all 52 mantissa bits
+  // above 2^-56, comfortably inside exact_rational's range. The point
+  // clamp [alpha, alpha] then leaves the region search one question: does
+  // any orientation tolerate this link cost?
+  const rational point = exact_rational(
+      std::clamp(alpha, std::ldexp(1.0, -4), std::ldexp(1.0, 20)));
+  return !ucg_nash_alpha_region(g, {point, point, true, true}).region.empty();
 }
 
 double ucg_best_response_cost(const graph& g, double alpha, int i,
@@ -590,131 +486,25 @@ ucg_best_response_result ucg_best_response_given_kept(const graph& g,
   expects((kept_row & (~g.vertex_mask() | bit(i))) == 0,
           "ucg_best_response_given_kept: bad kept row");
   ucg_best_response_result best{std::numeric_limits<double>::infinity(), 0};
-  scan_deviations(g, alpha, i, kept_row,
-                  std::numeric_limits<double>::infinity(),
-                  [&](double cost, std::uint64_t subset) {
-                    const bool better =
-                        cost < best.cost ||
-                        (cost == best.cost &&
-                         (popcount(subset) < popcount(best.links) ||
-                          (popcount(subset) == popcount(best.links) &&
-                           subset < best.links)));
-                    if (better) best = {cost, subset};
-                    return true;
-                  });
+  const std::uint64_t others = g.vertex_mask() & ~bit(i);
+  std::uint64_t subset = others;
+  while (true) {
+    const auto [sum, unreached] =
+        distance_sum_with_row(g, i, kept_row | subset);
+    if (unreached == 0) {
+      const int k = popcount(subset);
+      const double cost = alpha * k + static_cast<double>(sum);
+      const int best_k = popcount(best.links);
+      if (cost < best.cost ||
+          (cost == best.cost &&
+           (k < best_k || (k == best_k && subset < best.links)))) {
+        best = {cost, subset};
+      }
+    }
+    if (subset == 0) break;
+    subset = (subset - 1) & others;
+  }
   return best;
-}
-
-ucg_nash_result ucg_nash_supportable(const graph& g, double alpha,
-                                     const ucg_nash_options& options) {
-  expects(g.order() >= 1 && g.order() <= 16,
-          "ucg_nash_supportable: guard n <= 16 (exact search)");
-  expects(alpha > 0, "ucg_nash_supportable: requires alpha > 0");
-
-  ucg_nash_result result;
-  if (!is_connected(g)) return result;
-
-  // Every comparison against alpha goes through its exact rational value:
-  // the thresholds are integer hop-count deltas, so each decision is one
-  // integer cross-multiplication with zero slack. Genuine thresholds on
-  // at most 16 vertices all lie in [1/15, ~2n^2], so the query is first
-  // clamped into [2^-4, 2^20]: decisions are constant beyond that band,
-  // every positive double stays answerable (any double >= 2^-4 keeps all
-  // 52 mantissa bits above 2^-56, comfortably inside exact_rational's
-  // range), and the clamp also keeps the infinite_delta sentinel (2^40,
-  // "no constraint") on the tolerant side for arbitrarily large alpha —
-  // which the old direct double comparisons got wrong past 2^40.
-  const rational alpha_exact = exact_rational(
-      std::clamp(alpha, std::ldexp(1.0, -4), std::ldexp(1.0, 20)));
-
-  // Filter 1: a missing link that saves an endpoint strictly more than
-  // alpha would be added unilaterally — never Nash.
-  for (const auto& [u, v] : g.non_edges()) {
-    if (compare(rational::from_int(edge_addition_decrease(g, u, v)),
-                alpha_exact) > 0 ||
-        compare(rational::from_int(edge_addition_decrease(g, v, u)),
-                alpha_exact) > 0) {
-      return result;
-    }
-  }
-
-  const long long scale =
-      threshold_grids[static_cast<std::size_t>(g.order())].scale;
-  const code_window alpha_point{lower_endpoint_code(alpha_exact, true, scale),
-                                upper_endpoint_code(alpha_exact, true, scale)};
-  orientation_search search{g,  alpha_point, options, {}, {}, {}, {},
-                            {}, {},          {},      0,  0};
-  search.edges = g.edges();
-
-  // Filter 2: each edge needs a buyer whose single-severance saving does
-  // not strictly exceed the distance increase (alpha <= increase).
-  for (const auto& [u, v] : search.edges) {
-    int mask = 0;
-    if (compare(rational::from_int(edge_deletion_increase(g, u, v)),
-                alpha_exact) >= 0) {
-      mask |= 1;
-    }
-    if (compare(rational::from_int(edge_deletion_increase(g, v, u)),
-                alpha_exact) >= 0) {
-      mask |= 2;
-    }
-    if (mask == 0) return result;
-    search.candidates.push_back(mask);
-  }
-
-  // Most-constrained edges first (fewer buyer choices → earlier pruning).
-  {
-    std::vector<std::size_t> order(search.edges.size());
-    for (std::size_t e = 0; e < order.size(); ++e) order[e] = e;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return popcount(static_cast<std::uint64_t>(
-                                  search.candidates[a])) <
-                              popcount(static_cast<std::uint64_t>(
-                                  search.candidates[b]));
-                     });
-    std::vector<std::pair<int, int>> sorted_edges;
-    std::vector<int> sorted_candidates;
-    for (const std::size_t e : order) {
-      sorted_edges.push_back(search.edges[e]);
-      sorted_candidates.push_back(search.candidates[e]);
-    }
-    search.edges = std::move(sorted_edges);
-    search.candidates = std::move(sorted_candidates);
-  }
-
-  const int n = g.order();
-  search.paid.assign(static_cast<std::size_t>(n), 0);
-  search.unassigned_incident.assign(static_cast<std::size_t>(n), 0);
-  for (int v = 0; v < n; ++v) {
-    search.unassigned_incident[static_cast<std::size_t>(v)] = g.degree(v);
-  }
-  search.base_distance.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    search.base_distance[static_cast<std::size_t>(v)] = distance_sum(g, v).sum;
-  }
-  search.chosen_buyer.assign(search.edges.size(), -1);
-
-  // Isolated players (n == 1 aside, impossible in a connected graph with
-  // n >= 2) and players with degree 0 never get a happiness check via edge
-  // completion; handle n == 1 explicitly: a lone player is trivially Nash.
-  const bool supportable = search.assign(0);
-  result.best_response_checks = search.best_response_checks;
-  result.orientations_tried = search.orientations_tried;
-  if (supportable) {
-    result.supportable = true;
-    for (std::size_t e = 0; e < search.edges.size(); ++e) {
-      const auto [u, v] = search.edges[e];
-      const int buyer = search.chosen_buyer[e];
-      result.orientation.emplace_back(buyer, buyer == u ? v : u);
-    }
-  }
-  return result;
-}
-
-bool is_ucg_nash(const graph& g, double alpha,
-                 const ucg_nash_options& options) {
-  return ucg_nash_supportable(g, alpha, options).supportable;
 }
 
 }  // namespace bnf

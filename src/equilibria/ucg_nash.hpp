@@ -12,16 +12,21 @@
 // Deciding this is the hard part of the paper's empirical Section 5 — the
 // paper notes the problem is NP-complete and that its enumeration "hinges
 // on many fast checks to rule out inadmissible topologies" (footnote 8).
-// This checker mirrors that strategy:
+// There is one search, and it settles every link cost at once:
 //
-//   filter 1: no beneficial unilateral ADDITION may exist — every missing
-//             link must save each endpoint at most alpha;
-//   filter 2: every edge needs a tolerant buyer — an endpoint whose
-//             single-link severance saving does not exceed alpha;
-//   search:   backtracking over buyer orientations, checking each player's
-//             exact best response (2^(n-1) subsets, pruned by subset size)
-//             as soon as all its incident edges are assigned; each
-//             (player, paid set) is scanned once per topology.
+//   root:     the paper's fast checks bound the window of link costs
+//             before any orientation is tried — every missing link must
+//             save each endpoint at most alpha, and every edge needs an
+//             endpoint whose single-link severance saving does not
+//             exceed alpha;
+//   search:   backtracking over buyer orientations, intersecting each
+//             player's exact content window (2^(n-1) subsets, pruned by
+//             subset size) into the branch's window as soon as all its
+//             incident edges are assigned; each (player, paid set) is
+//             scanned once per topology, and a branch stops when its
+//             window is empty or already covered by the region.
+//
+// is_ucg_nash is the same search clamped to the point [alpha, alpha].
 //
 // Every comparison against alpha is EXACT, with no epsilon slack anywhere.
 // Every threshold of a search on n vertices is p/d with integer p and
@@ -35,19 +40,17 @@
 // scan needs no overflow checks. A link cost or clamp endpoint off the
 // 1/L grid (every double is a binary rational) codes as 2*floor(vL) + 1,
 // strictly between two grid codes, so it orders against every threshold
-// exactly as the rational does; is_ucg_nash therefore agrees with the
-// interval certificates of ucg_nash_alpha_region at every representable
-// alpha, including one ulp on either side of a threshold. (Queries are
-// clamped into [2^-4, 2^20] first; every genuine threshold on n <= 16
-// vertices lies strictly inside — the smallest is 1/15 — so decisions are
-// constant beyond the band and any positive double — 1e-300, 1e-5, or
-// 1e300 — gets the correct asymptotic answer.)
+// exactly as the rational does; is_ucg_nash therefore answers exactly at
+// every representable alpha, including one ulp on either side of a
+// threshold. (Its queries are clamped into [2^-4, 2^20] first; every
+// genuine threshold on n <= 16 vertices lies strictly inside — the
+// smallest is 1/15 — so decisions are constant beyond the band and any
+// positive double — 1e-300, 1e-5, or 1e300 — gets the correct asymptotic
+// answer.)
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "equilibria/alpha_interval.hpp"
 #include "graph/graph.hpp"
@@ -55,32 +58,6 @@
 namespace bnf {
 
 struct single_flip_table;  // equilibria/pairwise_stability.hpp
-
-struct ucg_nash_options {
-  /// Abort knob for pathological instances (never hit for n <= 10).
-  long long max_best_response_checks{1LL << 28};
-};
-
-struct ucg_nash_result {
-  bool supportable{false};
-  /// If supportable: (buyer, other endpoint) for each edge of a witness
-  /// orientation.
-  std::vector<std::pair<int, int>> orientation;
-  /// Diagnostics: how far the search had to go.
-  long long best_response_checks{0};
-  long long orientations_tried{0};
-};
-
-/// Decide Nash supportability of g in the UCG at link cost alpha.
-/// Requires 1 <= n <= 16 and alpha > 0. Disconnected graphs return
-/// unsupportable (all costs are infinite; the paper's empirical section
-/// considers connected topologies only).
-[[nodiscard]] ucg_nash_result ucg_nash_supportable(
-    const graph& g, double alpha, const ucg_nash_options& options = {});
-
-/// Convenience predicate.
-[[nodiscard]] bool is_ucg_nash(const graph& g, double alpha,
-                               const ucg_nash_options& options = {});
 
 /// The exact set of link costs at which g is Nash-supportable, computed by
 /// ONE parametric pass instead of per-alpha searches. Every deviation of
@@ -91,8 +68,8 @@ struct ucg_nash_result {
 /// closed-boundary convention). The orientation search intersects those
 /// intervals along each buyer assignment, unions the surviving windows,
 /// and prunes branches whose window is empty or already covered — so the
-/// whole alpha axis is settled in one search. Diagnostics mirror
-/// ucg_nash_result.
+/// whole alpha axis is settled in one search. The two work counts are
+/// diagnostics of how far the search had to go.
 struct ucg_region_result {
   alpha_interval_set region;
   long long player_intervals_computed{0};
@@ -150,14 +127,11 @@ class ucg_region_workspace {
     const graph& g, const alpha_interval& within,
     const single_flip_table& flips, ucg_region_workspace& scratch);
 
-/// The Nash region as a single exact interval. For every graph the
-/// region search has been run against (exhaustively cross-validated for
-/// n <= 6, spot-checked beyond) the region has one component; this
-/// convenience accessor asserts that and returns it (or the canonical
-/// empty interval when g is never Nash-supportable). Use
-/// ucg_nash_alpha_region directly when a multi-component region must be
-/// representable.
-[[nodiscard]] alpha_interval ucg_nash_interval(const graph& g);
+/// Nash supportability of g at the single link cost alpha: the region
+/// search clamped to [alpha, alpha]. Requires 1 <= n <= 16 and alpha > 0.
+/// Disconnected graphs are never Nash (all costs are infinite; the
+/// paper's empirical section considers connected topologies only).
+[[nodiscard]] bool is_ucg_nash(const graph& g, double alpha);
 
 /// Exact best-response cost for player i against the rest of the graph:
 /// min over subsets S of alpha*|S| + distance sum when i's paid links are

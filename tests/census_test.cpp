@@ -152,7 +152,7 @@ TEST(CensusTest, ProfilesCarryBothGamesExactIntervals) {
                 is_pairwise_stable(g, alpha))
           << to_string(g) << " alpha=" << alpha;
     }
-    // The UCG region matches the per-alpha search.
+    // The UCG region matches its point queries.
     for (const double alpha : {0.4, 0.9, 1.3, 2.2, 4.7, 9.5}) {
       EXPECT_EQ(profile.ucg.contains(alpha), is_ucg_nash(g, alpha))
           << to_string(g) << " alpha=" << alpha;

@@ -36,8 +36,8 @@ bool exactly_representable(const rational& r) {
 /// Brute-force exact Nash oracle, INDEPENDENT of the production search
 /// machinery: enumerates every buyer orientation and every deviation
 /// subset directly, deciding each comparison by rational
-/// cross-multiplication only (no player_content_interval, no
-/// scan_deviations, no epsilon). Exponential — test-oracle use only.
+/// cross-multiplication only (no player_content_interval, no region
+/// search, no epsilon). Exponential — test-oracle use only.
 bool brute_force_ucg_nash(const graph& g, const rational& alpha) {
   if (!is_connected(g)) return false;
   const int n = g.order();
@@ -206,46 +206,47 @@ TEST(ThresholdSemanticsTest, BlockingPairConventionMatchesProposition1) {
 }
 
 TEST(ThresholdSemanticsTest, UcgCheckerIsExactWithinOneUlpOfThresholds) {
-  // The per-alpha checker carries NO epsilon: all comparisons route
-  // through the exact rational value of alpha, so one ulp past a
-  // threshold must already flip the answer (the old 1e-9 slack would
-  // have swallowed these probes). Probed on graphs whose thresholds are
-  // exactly representable doubles.
+  // is_ucg_nash carries NO epsilon: it clamps the region search to the
+  // exact rational value of alpha, so one ulp past a threshold must
+  // already flip the answer (a 1e-9 slack would swallow these probes).
+  // Probed on graphs whose thresholds are exactly representable doubles.
   for (const graph& g :
        {complete(5), complete(6), cycle(5), cycle(6), star(6), path(5)}) {
-    const alpha_interval interval = ucg_nash_interval(g);
-    if (interval.empty()) continue;  // e.g. cycle(6): never UCG Nash
-    if (!interval.hi.is_infinite() && exactly_representable(interval.hi)) {
-      const double hi = interval.hi.to_double();
-      const double above =
-          std::nextafter(hi, std::numeric_limits<double>::infinity());
-      EXPECT_TRUE(is_ucg_nash(g, hi)) << to_string(g);
-      EXPECT_FALSE(is_ucg_nash(g, above)) << to_string(g);
-      // One ulp below stays inside (the interval is non-degenerate).
-      const double below = std::nextafter(hi, 0.0);
-      EXPECT_EQ(is_ucg_nash(g, below),
-                interval.contains(exact_rational(below)))
-          << to_string(g);
-    }
-    if (interval.lo.num > 0 && exactly_representable(interval.lo)) {
-      const double lo = interval.lo.to_double();
-      const double below = std::nextafter(lo, 0.0);
-      EXPECT_EQ(is_ucg_nash(g, lo), interval.lo_closed) << to_string(g);
-      EXPECT_FALSE(is_ucg_nash(g, below)) << to_string(g);
-      const double above =
-          std::nextafter(lo, std::numeric_limits<double>::infinity());
-      EXPECT_EQ(is_ucg_nash(g, above),
-                interval.contains(exact_rational(above)))
-          << to_string(g);
+    // An empty region (cycle(6): never UCG Nash) has no endpoint to probe.
+    const alpha_interval_set region = ucg_nash_alpha_region(g).region;
+    for (const alpha_interval& interval : region.parts()) {
+      if (!interval.hi.is_infinite() && exactly_representable(interval.hi)) {
+        const double hi = interval.hi.to_double();
+        const double above =
+            std::nextafter(hi, std::numeric_limits<double>::infinity());
+        EXPECT_TRUE(is_ucg_nash(g, hi)) << to_string(g);
+        EXPECT_FALSE(is_ucg_nash(g, above)) << to_string(g);
+        // One ulp below stays inside (the interval is non-degenerate).
+        const double below = std::nextafter(hi, 0.0);
+        EXPECT_EQ(is_ucg_nash(g, below),
+                  region.contains(exact_rational(below)))
+            << to_string(g);
+      }
+      if (interval.lo.num > 0 && exactly_representable(interval.lo)) {
+        const double lo = interval.lo.to_double();
+        const double below = std::nextafter(lo, 0.0);
+        EXPECT_EQ(is_ucg_nash(g, lo), interval.lo_closed) << to_string(g);
+        EXPECT_FALSE(is_ucg_nash(g, below)) << to_string(g);
+        const double above =
+            std::nextafter(lo, std::numeric_limits<double>::infinity());
+        EXPECT_EQ(is_ucg_nash(g, above),
+                  region.contains(exact_rational(above)))
+            << to_string(g);
+      }
     }
   }
 }
 
 TEST(ThresholdSemanticsTest, UcgCheckerAgreesWithRegionAtNonDyadicThresholds) {
   // Thresholds with odd denominators (e.g. 1/3-grained ones) are not
-  // exactly representable; the checker must then classify the NEAREST
-  // doubles on each side exactly as the region does — which the epsilon
-  // slack used to get wrong within 1e-9 of the true rational.
+  // exactly representable; the point query must then classify the NEAREST
+  // doubles on each side exactly as the full region does (a 1e-9 slack
+  // would get them wrong).
   for (const graph& g : {path(4), path(6), star(5), cycle(7)}) {
     const ucg_region_result region = ucg_nash_alpha_region(g);
     for (const alpha_interval& part : region.region.parts()) {
@@ -266,11 +267,11 @@ TEST(ThresholdSemanticsTest, UcgCheckerAgreesWithRegionAtNonDyadicThresholds) {
 }
 
 TEST(ThresholdSemanticsTest, IndependentOracleAgreesAtThresholdUlps) {
-  // is_ucg_nash and ucg_nash_alpha_region now share the exact comparison
-  // machinery, so comparing them to each other cannot catch a shared
-  // boundary bug. This cross-validates BOTH against the brute-force
-  // oracle above — at every region endpoint, one ulp either side of it,
-  // and a generic interior value — on all connected graphs with n <= 5.
+  // is_ucg_nash is ucg_nash_alpha_region clamped to one point, so
+  // comparing the two cannot catch a boundary bug of the search. This
+  // cross-validates BOTH against the brute-force oracle above — at every
+  // region endpoint, one ulp either side of it, and a generic interior
+  // value — on all connected graphs with n <= 5.
   for (int n = 3; n <= 5; ++n) {
     for_each_graph(
         n,
@@ -323,13 +324,18 @@ TEST(ThresholdSemanticsTest, ExtremeAlphasGetTheAsymptoticAnswer) {
 TEST(ThresholdSemanticsTest, UcgEndpointsAreClosedAndHitExactly) {
   // Closed UCG thresholds at exactly representable endpoints: the
   // defining deviation ties there, and ties keep the equilibrium.
-  const alpha_interval clique = ucg_nash_interval(complete(6));
+  const alpha_interval_set clique_region =
+      ucg_nash_alpha_region(complete(6)).region;
+  ASSERT_EQ(clique_region.parts().size(), 1U);
+  const alpha_interval& clique = clique_region.parts().front();
   ASSERT_TRUE(exactly_representable(clique.hi));
   EXPECT_TRUE(clique.hi_closed);
   EXPECT_TRUE(is_ucg_nash(complete(6), clique.hi.to_double()));
   EXPECT_FALSE(is_ucg_nash(complete(6), clique.hi.to_double() + 0.5));
 
-  const alpha_interval hub = ucg_nash_interval(star(7));
+  const alpha_interval_set hub_region = ucg_nash_alpha_region(star(7)).region;
+  ASSERT_EQ(hub_region.parts().size(), 1U);
+  const alpha_interval& hub = hub_region.parts().front();
   ASSERT_TRUE(exactly_representable(hub.lo));
   EXPECT_TRUE(hub.lo_closed);
   EXPECT_TRUE(is_ucg_nash(star(7), hub.lo.to_double()));

@@ -1,8 +1,10 @@
-// Cross-validation of the exact alpha-interval certificate
-// (ucg_nash_alpha_region / ucg_nash_interval) against the per-alpha
-// orientation search (is_ucg_nash) over every connected non-isomorphic
-// graph on n <= 6 vertices, probing inside, outside, and exactly on the
-// interval endpoints.
+// Cross-validation of the exact Nash region (ucg_nash_alpha_region)
+// against its point queries (is_ucg_nash, the same search clamped to
+// [alpha, alpha]) over every connected non-isomorphic graph on n <= 6
+// vertices, probing inside, outside, and exactly on the region endpoints:
+// a clamp must cut the region, never change it. The references that share
+// no code with the search are ucg_region_oracle_test and
+// ThresholdSemanticsTest.IndependentOracleAgreesAtThresholdUlps.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,9 +22,8 @@
 namespace bnf {
 namespace {
 
-// Probes that stay clear of the per-alpha checker's 1e-9 tie tolerance:
-// fixed off-threshold values, interval midpoints, and +/-1e-5 nudges
-// around every finite endpoint.
+// Probes off the endpoints: fixed off-threshold values, interval
+// midpoints, and +/-1e-5 nudges around every finite endpoint.
 std::vector<double> probes_for(const alpha_interval_set& region) {
   std::vector<double> probes = {0.4, 0.77, 1.3, 2.6, 3.45, 5.9, 11.17};
   for (const alpha_interval& part : region.parts()) {
@@ -61,9 +62,8 @@ TEST(UcgIntervalPropertyTest, RegionMatchesBruteForceOnAllSmallGraphs) {
 
 TEST(UcgIntervalPropertyTest, EndpointsAreTiesForTheBruteForce) {
   // Exactly ON a finite endpoint the deviation that defines it ties, and
-  // ties never destabilize: the region is closed there and the per-alpha
-  // checker (whose 1e-9 slack absorbs the double rounding of num/den)
-  // agrees.
+  // ties never destabilize: the region is closed there, and the point
+  // query at the endpoint's nearest double agrees.
   for (int n = 3; n <= 6; ++n) {
     for_each_graph(
         n,
@@ -89,9 +89,10 @@ TEST(UcgIntervalPropertyTest, EndpointsAreTiesForTheBruteForce) {
 }
 
 TEST(UcgIntervalPropertyTest, SmallRegionsAreSingleIntervals) {
-  // Empirical fact backing ucg_nash_interval's single-component contract:
-  // no connected graph on n <= 6 has a disconnected Nash region.
-  for (int n = 2; n <= 6; ++n) {
+  // Empirical fact: no connected graph on n <= 8 has a disconnected Nash
+  // region, so each topology is UCG Nash on one interval of link costs
+  // (or on none).
+  for (int n = 2; n <= 8; ++n) {
     for_each_graph(
         n,
         [&](const graph& g) {
@@ -120,10 +121,10 @@ TEST(UcgIntervalPropertyTest, KnownWindowsOfNamedGraphs) {
   // dropped link saves alpha and adds 1 hop); the star is Nash from 1 on
   // (a leaf-to-leaf link saves exactly 1 hop, severances cut bridges).
   for (const int n : {3, 4, 5, 6, 7, 8}) {
-    const alpha_interval clique = ucg_nash_interval(complete(n));
-    EXPECT_EQ(to_string(clique), "(0, 1]") << "K_" << n;
-    const alpha_interval hub = ucg_nash_interval(star(n));
-    EXPECT_EQ(to_string(hub), "[1, inf)") << "star_" << n;
+    EXPECT_EQ(to_string(ucg_nash_alpha_region(complete(n)).region), "(0, 1]")
+        << "K_" << n;
+    EXPECT_EQ(to_string(ucg_nash_alpha_region(star(n)).region), "[1, inf)")
+        << "star_" << n;
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "equilibria/ucg_nash.hpp"
 #include "game/connection_game.hpp"
 #include "gen/named.hpp"
 #include "util/contracts.hpp"
@@ -49,38 +48,10 @@ TEST(WelfareTest, GiniKnownValue) {
   EXPECT_DOUBLE_EQ(summarize_welfare({2.0, 2.0, 2.0}).gini, 0.0);
 }
 
-TEST(WelfareTest, UcgProfileUsesOrientation) {
-  // Star at alpha=2 with leaves buying: hub pays no link cost.
-  const graph g = star(5);
-  const auto result = ucg_nash_supportable(g, 2.0);
-  ASSERT_TRUE(result.supportable);
-  const auto costs = ucg_cost_profile(g, 2.0, result.orientation);
-  double total = 0.0;
-  for (const double c : costs) total += c;
-  const connection_game game{5, 2.0, link_rule::unilateral};
-  EXPECT_NEAR(total, social_cost(g, game).finite, 1e-9);
-}
-
-TEST(WelfareTest, UcgBurdenFallsOnBuyers) {
-  // Two leaves of a path; orient all edges toward vertex 0 (each vertex
-  // i>0 buys its edge): vertex 0 pays no link cost and has the same
-  // distances as the last vertex, so it is strictly better off.
-  const graph g = path(4);
-  const std::vector<std::pair<int, int>> orientation{{1, 0}, {2, 1}, {3, 2}};
-  const auto costs = ucg_cost_profile(g, 2.0, orientation);
-  EXPECT_LT(costs[0], costs[3]);
-  EXPECT_DOUBLE_EQ(costs[3] - costs[0], 2.0);  // exactly one link cost
-}
-
 TEST(WelfareTest, Preconditions) {
   EXPECT_THROW((void)bcg_cost_profile(graph(3), 1.0), precondition_error);
   EXPECT_THROW((void)bcg_cost_profile(star(3), 0.0), precondition_error);
   EXPECT_THROW((void)summarize_welfare({}), precondition_error);
-  EXPECT_THROW(
-      (void)ucg_cost_profile(path(3), 1.0, {{0, 1}}),  // missing an edge
-      precondition_error);
-  EXPECT_THROW((void)ucg_cost_profile(path(3), 1.0, {{0, 1}, {0, 2}}),
-               precondition_error);  // names a non-edge
 }
 
 TEST(WelfareTest, EquilibriumInequalityStory) {

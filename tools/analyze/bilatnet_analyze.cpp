@@ -34,9 +34,10 @@
 //                    .cpp includes its own header first.
 //   forbid-reach     no call chain from a `forbid-reach` root in
 //                    layers.txt reaches one of its targets (the census
-//                    never runs a per-alpha Nash search). Like det-taint it
-//                    does not follow stored function pointers or noisy-name
-//                    member calls (see collect_calls).
+//                    never asks a per-alpha UCG Nash question). Like
+//                    det-taint it does not follow stored function
+//                    pointers or noisy-name member calls (see
+//                    collect_calls).
 //
 // Line-local rules run over src/, bench/ and examples/ (`--list-rules`
 // gives each scope): epsilon-literal and float-alpha-compare keep the
