@@ -89,7 +89,6 @@ census_kernel::census_kernel(int n, int threads, int passes)
 
 std::vector<census_point> census_kernel::run(const row_grid& grid,
                                              const census_pass& pass) const {
-  const int n = plan_.order();
   const std::vector<equilibrium_accumulator> empty_rows(grid.size());
   std::vector<shard_rows> shards(shard_count,
                                  shard_rows{empty_rows, empty_rows});
@@ -131,10 +130,11 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
       if (pass.replay) {
         pass.replay(shard, rows);
       } else {
-        topologies = plan_.for_each_key(shard, [&](std::uint64_t key) {
+        // The generator hands over the canonical graph it already built.
+        topologies = plan_.for_each_class(
+            shard, [&](std::uint64_t, const graph& g) {
           const topology_profile profile = profile_topology(
-              graph::from_key64(n, key), pass.include_ucg, pass.ucg_clamp,
-              scratch);
+              g, pass.include_ucg, pass.ucg_clamp, scratch);
           player_intervals += profile.ucg_player_intervals;
           orientations += profile.ucg_orientations;
           if (pass.on_profile) pass.on_profile(shard, profile);

@@ -1,12 +1,13 @@
 // The one census kernel behind census_sweep and stream_poa_curve. A pass
 // walks the fixed 128-shard orderly enumeration plan, profiles every
-// connected topology once (profile_topology, one profile_workspace per
-// worker), folds it into per-shard accumulators at a caller-supplied set
-// of exact probes (a row_grid), and merges the shards in fixed shard
-// order. The grid census runs one pass on the caller's taus; the curve
-// engine runs a breakpoint-collecting pass with no rows, then evaluates
-// its breakpoint-derived rows either by re-walking the plan or by
-// replaying its packed profile cache through the same shard loop.
+// connected topology once (profile_topology on the canonical graph the
+// generator hands over, one profile_workspace per worker), folds it into
+// per-shard accumulators at a caller-supplied set of exact probes (a
+// row_grid), and merges the shards in fixed shard order. The grid census
+// runs one pass on the caller's taus; the curve engine runs a
+// breakpoint-collecting pass with no rows, then evaluates its
+// breakpoint-derived rows either by re-walking the plan or by replaying
+// its packed profile cache through the same shard loop.
 //
 // Workers claim shards on demand: each takes the next unclaimed shard
 // index from an atomic cursor until none is left, so a large shard no

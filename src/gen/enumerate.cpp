@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <mutex>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -73,7 +73,7 @@ std::uint64_t permuted_mask(
 // One canonical-augmentation step: attach a new vertex to `parent` (k
 // vertices, automorphism generators `gens` in the parent's own labels) in
 // every way that survives the orderly filters, and hand each ACCEPTED
-// child to `sink(child, canon)`:
+// child to `sink(child, canon, connected)`:
 //
 //   * one attachment set per orbit of Aut(parent) on subsets of V(parent)
 //     — closing each orbit with the generators as it is first met — so a
@@ -97,16 +97,25 @@ std::uint64_t permuted_mask(
 // cheap-invariant-first step of McKay's canonical augmentation). Only
 // the survivors pay for the search and its orbit test.
 //
-// With `forests_only`, attachment sets touching any parent component
-// twice are skipped before the rewrite; forests are hereditary under
-// vertex deletion, so construction paths of forests stay inside the class
-// and the exactly-once guarantee carries over unchanged.
+// The parent's components are found once: the child is connected iff the
+// new vertex's neighbourhood meets every one of them (the `connected` the
+// sink receives, with no BFS over the child). With `forests_only`,
+// attachment sets touching any component twice are skipped before the
+// rewrite; forests are hereditary under vertex deletion, so construction
+// paths of forests stay inside the class and the exactly-once guarantee
+// carries over unchanged.
+//
+// One canon_result serves every candidate of this parent: the canonical
+// search overwrites it in place, so past the first few candidates no
+// search allocates. The sink may read it (or move from it) only until it
+// returns.
 template <typename Sink>
 void augment_once(const graph& parent, const aut_generators& gens,
                   bool forests_only, orderly_stats& stats, Sink&& sink) {
   const int k = parent.order();
   graph child = parent.with_vertex();
   std::uint64_t attached = 0;  // the new vertex's current neighbourhood
+  canon_result canon;
 
   // below[d]: the parent vertices of degree < d, for d = 0..k.
   std::array<std::uint64_t, max_vertices + 1> below{};
@@ -117,8 +126,16 @@ void augment_once(const graph& parent, const aut_generators& gens,
     below[d] |= below[d - 1];
   }
 
-  std::vector<std::uint64_t> comps;
-  if (forests_only && k > 0) comps = components(parent);
+  // The parent's components as vertex masks; first comp_count live.
+  std::array<std::uint64_t, max_vertices> comps{};
+  int comp_count = 0;
+  for (std::uint64_t rest = parent.vertex_mask(); rest != 0;) {
+    const std::uint64_t comp = reachable_set(parent, lowest_bit(rest));
+    comps[static_cast<std::size_t>(comp_count++)] = comp;
+    rest &= ~comp;
+  }
+  const std::span<const std::uint64_t> parent_components(
+      comps.data(), static_cast<std::size_t>(comp_count));
 
   const std::uint64_t subset_count = std::uint64_t{1} << k;
   std::vector<bool> visited;
@@ -147,7 +164,7 @@ void augment_once(const graph& parent, const aut_generators& gens,
 
     if (forests_only) {
       bool cyclic = false;
-      for (const std::uint64_t comp : comps) {
+      for (const std::uint64_t comp : parent_components) {
         if (popcount(subset & comp) > 1) {
           cyclic = true;
           break;
@@ -169,36 +186,39 @@ void augment_once(const graph& parent, const aut_generators& gens,
       continue;
     }
 
-    std::optional<canon_result> canon = canonical_form_if_last(child, k);
-    if (!canon) {
+    if (!canonical_form_if_last(child, k, canon)) {
       ++stats.refine_rejects;
       continue;
     }
-    const int deletion = canon->labeling[static_cast<std::size_t>(k)];
-    if (canon->orbits[static_cast<std::size_t>(k)] !=
-        canon->orbits[static_cast<std::size_t>(deletion)]) {
+    const int deletion = canon.labeling[static_cast<std::size_t>(k)];
+    if (canon.orbits[static_cast<std::size_t>(k)] !=
+        canon.orbits[static_cast<std::size_t>(deletion)]) {
       ++stats.orbit_rejects;
       continue;
     }
     ++stats.accepts;
-    sink(child, *std::move(canon));
+    const bool connected = std::all_of(
+        parent_components.begin(), parent_components.end(),
+        [&](std::uint64_t comp) { return (subset & comp) != 0; });
+    sink(child, canon, connected);
   }
 }
 
 // Depth-first canonical augmentation from `parent` up to `target`
-// vertices, emitting each accepted class's canonical key exactly once.
-// Deterministic: the construction path of a class is unique and subsets
-// are tried in fixed ascending order.
+// vertices, handing each accepted class to `fn` exactly once as its
+// canonical key and canonical graph. Deterministic: the construction path
+// of a class is unique and subsets are tried in fixed ascending order.
 std::uint64_t expand_to_target(const graph& parent, const aut_generators& gens,
                                int target, bool connected_only,
                                bool forests_only, orderly_stats& stats,
-                               const std::function<void(std::uint64_t)>& fn) {
+                               const enumeration_plan::class_fn& fn) {
   std::uint64_t emitted = 0;
   augment_once(parent, gens, forests_only, stats,
-               [&](const graph& child, canon_result&& canon) {
+               [&](const graph& child, const canon_result& canon,
+                   bool connected) {
                  if (child.order() == target) {
-                   if (connected_only && !is_connected(child)) return;
-                   fn(canon.canonical.key64());
+                   if (connected_only && !connected) return;
+                   fn(canon.canonical.key64(), canon.canonical);
                    ++emitted;
                  } else {
                    emitted += expand_to_target(child, canon.generators, target,
@@ -266,7 +286,7 @@ enumeration_plan::enumeration_plan(int n, std::size_t shard_count,
           for (std::size_t p = begin; p < end; ++p) {
             augment_once(seeds_[p].g, seeds_[p].generators, forests_only_,
                          stats,
-                         [&](const graph& child, canon_result&& canon) {
+                         [&](const graph& child, canon_result& canon, bool) {
                            local.push_back(
                                seed{child, std::move(canon.generators),
                                     canon.canonical.key64()});
@@ -289,13 +309,14 @@ enumeration_plan::enumeration_plan(int n, std::size_t shard_count,
   }
 }
 
-std::uint64_t enumeration_plan::for_each_key(
-    std::size_t shard, const std::function<void(std::uint64_t)>& fn) const {
+std::uint64_t enumeration_plan::for_each_class(std::size_t shard,
+                                               const class_fn& fn) const {
   expects(shard < shard_count_,
-          "enumeration_plan::for_each_key: shard out of range");
+          "enumeration_plan::for_each_class: shard out of range");
   if (n_ == 0) {
     if (shard != 0) return 0;
-    fn(graph(0).key64());
+    const graph empty(0);
+    fn(empty.key64(), empty);
     return 1;
   }
   std::uint64_t emitted = 0;
@@ -306,6 +327,11 @@ std::uint64_t enumeration_plan::for_each_key(
   }
   flush_orderly_stats(stats);
   return emitted;
+}
+
+std::uint64_t enumeration_plan::for_each_key(
+    std::size_t shard, const std::function<void(std::uint64_t)>& fn) const {
+  return for_each_class(shard, [&](std::uint64_t key, const graph&) { fn(key); });
 }
 
 void for_each_graph_key_shard(int n, std::size_t shard,

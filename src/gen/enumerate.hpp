@@ -81,9 +81,12 @@ struct enumeration_options {
 /// subtrees mix and the shards balance); every class on n vertices
 /// descends from exactly one seed, so shards are exactly disjoint and
 /// union to the full class set. Build one plan and stream its shards
-/// concurrently — for_each_key is const and thread-safe across shards.
+/// concurrently — for_each_class is const and thread-safe across shards.
 class enumeration_plan {
  public:
+  /// Receives one class: its canonical key and its canonical graph.
+  using class_fn = std::function<void(std::uint64_t key, const graph& g)>;
+
   /// Requires 0 <= n <= max_enumeration_order and shard_count >= 1.
   enumeration_plan(int n, std::size_t shard_count,
                    const enumeration_options& options = {});
@@ -93,10 +96,16 @@ class enumeration_plan {
     return shard_count_;
   }
 
-  /// Stream every canonical key of shard `shard` in deterministic
-  /// generation order (NOT globally sorted; sort or merge if you need
-  /// order). Returns the number of keys emitted. Requires
+  /// Walk shard `shard` once and hand every class to `fn` in
+  /// deterministic generation order (NOT globally sorted; sort or merge if
+  /// you need order). The graph is the one the canonical search just
+  /// built, equal to graph::from_key64(order(), key), so a consumer that
+  /// needs the adjacency never decodes the key; it is valid only during
+  /// the call. Returns the number of classes handed over. Requires
   /// shard < shard_count().
+  std::uint64_t for_each_class(std::size_t shard, const class_fn& fn) const;
+
+  /// for_each_class with only the keys.
   std::uint64_t for_each_key(
       std::size_t shard,
       const std::function<void(std::uint64_t)>& fn) const;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <optional>
+#include <span>
 
 #include "graph/metrics.hpp"
 #include "util/bitops.hpp"
@@ -62,24 +62,32 @@ struct union_find {
   }
 };
 
+// One search over g, written into a caller-owned result: the generators
+// are collected straight into out.generators, and every vector of `out` is
+// overwritten in place, so a reused result keeps its capacity.
 class canon_search {
  public:
-  explicit canon_search(const graph& g) : n_(g.order()), orbits_(n_) {
+  canon_search(const graph& g, canon_result& out)
+      : n_(g.order()), out_(out), orbits_(n_) {
     for (int v = 0; v < n_; ++v) {
       adj_[static_cast<std::size_t>(v)] = g.neighbors(v);
     }
   }
 
-  // The canonical form, or nullopt when `last` >= 0 is not in the last
-  // cell of the refined root partition. The search only individualizes
-  // and splits cells in place, so every leaf keeps that cell at its tail,
-  // and refining the unit partition is isomorphism-invariant, so the
-  // cell also holds labeling[n-1]'s whole Aut(g)-orbit.
-  std::optional<canon_result> run(int last) {
-    canon_result result;
+  // Fill `out` with the canonical form, or return false when `last` >= 0
+  // is not in the last cell of the refined root partition. The search
+  // only individualizes and splits cells in place, so every leaf keeps
+  // that cell at its tail, and refining the unit partition is
+  // isomorphism-invariant, so the cell also holds labeling[n-1]'s whole
+  // Aut(g)-orbit.
+  bool run(int last) {
     if (n_ == 0) {
-      result.canonical = graph(0);
-      return result;
+      out_.labeling.clear();
+      out_.canonical.assign_rows({});
+      out_.orbits.clear();
+      out_.generators_found = 0;
+      out_.generators.clear();
+      return true;
     }
 
     ordered_partition root;
@@ -93,26 +101,22 @@ class canon_search {
       const auto cell_tail = root.elems.begin() + n_;
       if (std::find(root.elems.begin() + last_begin, cell_tail, last) ==
           cell_tail) {
-        return std::nullopt;
+        return false;
       }
     }
-    path_.clear();
+    out_.generators.clear();
     search(root);
 
-    result.labeling.assign(best_leaf_.begin(), best_leaf_.begin() + n_);
+    out_.labeling.assign(best_leaf_.begin(), best_leaf_.begin() + n_);
     // best_rows_ already is the adjacency of the best leaf's relabeling.
-    result.canonical = graph(n_);
-    for (int p = 0; p < n_; ++p) {
-      for_each_bit(best_rows_[static_cast<std::size_t>(p)] & ~low_bits(p + 1),
-                   [&](int q) { result.canonical.add_edge(p, q); });
-    }
-    result.orbits.resize(static_cast<std::size_t>(n_));
+    out_.canonical.assign_rows(std::span(best_rows_.data(),
+                                         static_cast<std::size_t>(n_)));
+    out_.orbits.resize(static_cast<std::size_t>(n_));
     for (int v = 0; v < n_; ++v) {
-      result.orbits[static_cast<std::size_t>(v)] = orbits_.find(v);
+      out_.orbits[static_cast<std::size_t>(v)] = orbits_.find(v);
     }
-    result.generators_found = static_cast<int>(generators_.size());
-    result.generators = std::move(generators_);  // after orbits_ is final
-    return result;
+    out_.generators_found = static_cast<int>(out_.generators.size());
+    return true;
   }
 
  private:
@@ -235,9 +239,9 @@ class canon_search {
       ordered_partition child = p;
       individualize(child, begin, end, v);
       refine(child, bit(v));
-      path_.push_back(v);
+      path_[static_cast<std::size_t>(depth_++)] = static_cast<std::uint8_t>(v);
       search(child);
-      path_.pop_back();
+      --depth_;
     }
   }
 
@@ -265,10 +269,11 @@ class canon_search {
     bool grew = true;
     while (grew) {
       grew = false;
-      for (const auto& perm : generators_) {
+      for (const auto& perm : out_.generators) {
         bool fixes_path = true;
-        for (const int u : path_) {
-          if (perm[static_cast<std::size_t>(u)] != u) {
+        for (int d = 0; d < depth_; ++d) {
+          const std::uint8_t u = path_[static_cast<std::size_t>(d)];
+          if (perm[u] != u) {
             fixes_path = false;
             break;
           }
@@ -345,32 +350,37 @@ class canon_search {
     for (int v = 0; v < n_; ++v) {
       orbits_.merge(v, perm[static_cast<std::size_t>(v)]);
     }
-    if (static_cast<int>(generators_.size()) < max_generators) {
-      generators_.push_back(perm);
+    if (static_cast<int>(out_.generators.size()) < max_generators) {
+      out_.generators.push_back(perm);
     }
   }
 
   int n_;
+  canon_result& out_;
   std::array<std::uint64_t, max_vertices> adj_;  // g's rows; first n_ live
-  std::vector<int> path_;  // vertices individualized on the current path
+  // The vertices individualized on the current path; first depth_ live
+  // (each level fixes one more vertex, so depth_ < n_).
+  std::array<std::uint8_t, max_vertices> path_{};
+  int depth_{0};
   bool have_best_{false};
   // The best leaf's certificate and labeling; first n_ slots live.
   std::array<std::uint64_t, max_vertices> best_rows_;
   std::array<std::uint8_t, max_vertices> best_leaf_;
-  std::vector<std::array<std::uint8_t, max_vertices>> generators_;
   union_find orbits_;
 };
 
 }  // namespace
 
 canon_result canonical_form(const graph& g) {
-  return *canon_search(g).run(-1);
+  canon_result result;
+  canon_search(g, result).run(-1);
+  return result;
 }
 
-std::optional<canon_result> canonical_form_if_last(const graph& g, int v) {
+bool canonical_form_if_last(const graph& g, int v, canon_result& out) {
   expects(v >= 0 && v < g.order(),
           "canonical_form_if_last: vertex out of range");
-  return canon_search(g).run(v);
+  return canon_search(g, out).run(v);
 }
 
 std::uint64_t canonical_key64(const graph& g) {

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -48,14 +47,18 @@ struct canon_result {
 /// K16 2.5 ms, K24 40 ms, and K_{32,32} did not finish in 20 s.
 [[nodiscard]] canon_result canonical_form(const graph& g);
 
-/// canonical_form(g), or nullopt when partition refinement alone proves
-/// that v cannot share an Aut(g)-orbit with labeling[n-1]: the search
-/// keeps the refined unit partition's last cell at the tail of every
-/// labeling, and orbits lie inside cells, so a v outside that cell is
-/// rejected before any branching. The orderly generator's canonical
-/// deletion test ("refine-then-reject"). Requires 0 <= v < order.
-[[nodiscard]] std::optional<canon_result> canonical_form_if_last(
-    const graph& g, int v);
+/// The same search written into a caller-owned `out`, or false when
+/// partition refinement alone proves that v cannot share an Aut(g)-orbit
+/// with labeling[n-1]: the search keeps the refined unit partition's last
+/// cell at the tail of every labeling, and orbits lie inside cells, so a
+/// v outside that cell is rejected before any branching. The orderly
+/// generator's canonical deletion test ("refine-then-reject"). On true,
+/// every field of `out` equals canonical_form(g)'s; on false, `out` holds
+/// no result. Its vectors keep their capacity, so one `out` reused across
+/// calls stops allocating once it has met the largest graph. Requires
+/// 0 <= v < order.
+[[nodiscard]] bool canonical_form_if_last(const graph& g, int v,
+                                          canon_result& out);
 
 /// Canonical 64-bit key (upper-triangle packing of the canonical graph).
 /// Requires order <= 11. Equal keys + equal order <=> isomorphic.

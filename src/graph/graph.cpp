@@ -150,6 +150,13 @@ graph graph::with_vertex() const {
   return g;
 }
 
+void graph::assign_rows(std::span<const std::uint64_t> rows) {
+  expects(rows.size() <= static_cast<std::size_t>(max_vertices),
+          "graph::assign_rows: order must be in [0, 64]");
+  n_ = static_cast<int>(rows.size());
+  adj_.assign(rows.begin(), rows.end());
+}
+
 // Row i of the upper triangle, the pairs (i, j > i), occupies the n-1-i
 // key bits starting at i(n-1) - i(i-1)/2; both codec directions move one
 // such segment per vertex.

@@ -83,6 +83,12 @@ class graph {
   /// Copy with one extra isolated vertex appended (new index = n).
   [[nodiscard]] graph with_vertex() const;
 
+  /// Become the graph whose adjacency rows are `rows` (order rows.size()),
+  /// reusing this graph's row storage. The rows must be symmetric, have no
+  /// self-loops and no bits at or above rows.size(). Requires
+  /// rows.size() <= 64.
+  void assign_rows(std::span<const std::uint64_t> rows);
+
   /// Pack the upper triangle (pairs (i,j), i<j, row-major) into a 64-bit
   /// key. Requires order() <= 11. Together with `order`, identifies the
   /// labeled graph exactly.

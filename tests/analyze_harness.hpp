@@ -59,9 +59,12 @@ constexpr std::array<const char*, 7> line_local_rules = {
     "raw-random",      "raw-thread",          "metric-name-literal",
     "raw-exit"};
 
-/// `fail/<rule>` must exit 1 and report `rule` and no other rule.
-inline void expect_trips_exactly(const std::string& rule) {
-  const analyze_result result = run_fixture("fail/" + rule);
+/// `fail/<fixture>` (by default `fail/<rule>`) must exit 1 and report
+/// `rule` and no other rule.
+inline void expect_trips_exactly(const std::string& rule,
+                                 const std::string& fixture = "") {
+  const analyze_result result =
+      run_fixture("fail/" + (fixture.empty() ? rule : fixture));
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find("[" + rule + "]"), std::string::npos)
       << "expected a [" << rule << "] violation, got:\n"

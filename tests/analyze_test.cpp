@@ -80,6 +80,27 @@ TEST(AnalyzeForbidReach, AllowIsInertAndChainIsReported) {
       << result.output;
 }
 
+// A member call resolves only to methods the caller's file can include:
+// the pass tree's root calls `walker.run` and stays clean although
+// region_search::run reaches the target, while this tree's census_sweep
+// includes region_search's header and fails through it. A virtual call
+// through a base's header still reaches an override the caller cannot
+// include.
+TEST(AnalyzeForbidReach, MemberCallResolvesThroughIncludes) {
+  bnf::testing::expect_trips_exactly("forbid-reach", "forbid-reach-member");
+  const analyze_result result = run_fixture("fail/forbid-reach-member");
+  EXPECT_NE(result.output.find("bnf::per_alpha_nash <- "
+                               "bnf::region_search::run <- bnf::census_sweep"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("bnf::per_alpha_nash <- "
+                               "bnf::region_task::run <- bnf::dispatch"),
+            std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("2 violations"), std::string::npos)
+      << result.output;
+}
+
 // A renamed root or target must not make the policy vacuous.
 TEST(AnalyzeForbidReach, StaleNameIsAConfigurationError) {
   const std::string root = fixture_root("fail/forbid-reach");

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -48,20 +47,20 @@ TEST(CanonicalTest, CanonicalDeletionVertexLiesInTheRefinedLastCell) {
             min_degree = std::min(min_degree, g.degree(v));
           }
           for (int v = 0; v < n; ++v) {
-            const std::optional<canon_result> early =
-                canonical_form_if_last(g, v);
+            canon_result early;
+            const bool accepted = canonical_form_if_last(g, v, early);
             if (full.orbits[static_cast<std::size_t>(v)] ==
                 full.orbits[static_cast<std::size_t>(last)]) {
-              ASSERT_TRUE(early.has_value()) << to_string(g) << " v=" << v;
+              ASSERT_TRUE(accepted) << to_string(g) << " v=" << v;
             }
-            if (!early) {
+            if (!accepted) {
               ++rejects;
               continue;
             }
             EXPECT_EQ(g.degree(v), min_degree) << to_string(g);
-            EXPECT_EQ(early->labeling, full.labeling) << to_string(g);
-            EXPECT_EQ(early->orbits, full.orbits) << to_string(g);
-            EXPECT_EQ(early->canonical, full.canonical) << to_string(g);
+            EXPECT_EQ(early.labeling, full.labeling) << to_string(g);
+            EXPECT_EQ(early.orbits, full.orbits) << to_string(g);
+            EXPECT_EQ(early.canonical, full.canonical) << to_string(g);
           }
         },
         {.connected_only = false});
@@ -69,9 +68,49 @@ TEST(CanonicalTest, CanonicalDeletionVertexLiesInTheRefinedLastCell) {
   EXPECT_GT(rejects, 0);
 }
 
+// The orderly generator reuses one canon_result for every candidate of a
+// parent. One result fed every class of orders 8 down to 1 and back up,
+// with every v, so refine-rejects and accepted searches interleave and the
+// order changes under it, must match a fresh canonical_form on every
+// accepted call, field for field.
+TEST(CanonicalTest, ReusedResultMatchesAFreshSearch) {
+  std::vector<int> orders;
+  for (int n = 8; n >= 1; --n) orders.push_back(n);
+  for (int n = 1; n <= 8; ++n) orders.push_back(n);
+  canon_result reused;
+  long long accepted = 0;
+  long long rejected = 0;
+  for (const int n : orders) {
+    for_each_graph(
+        n,
+        [&](const graph& g) {
+          const canon_result fresh = canonical_form(g);
+          for (int v = 0; v < n; ++v) {
+            if (!canonical_form_if_last(g, v, reused)) {
+              ++rejected;
+              continue;
+            }
+            ++accepted;
+            ASSERT_EQ(reused.labeling, fresh.labeling) << to_string(g);
+            ASSERT_EQ(reused.orbits, fresh.orbits) << to_string(g);
+            ASSERT_EQ(reused.canonical, fresh.canonical) << to_string(g);
+            ASSERT_EQ(reused.generators_found, fresh.generators_found)
+                << to_string(g);
+            ASSERT_EQ(reused.generators, fresh.generators) << to_string(g);
+          }
+        },
+        {.connected_only = false});
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
 TEST(CanonicalTest, CanonicalFormIfLastRejectsOutOfRangeVertices) {
-  EXPECT_THROW((void)canonical_form_if_last(path(3), 3), precondition_error);
-  EXPECT_THROW((void)canonical_form_if_last(path(3), -1), precondition_error);
+  canon_result out;
+  EXPECT_THROW((void)canonical_form_if_last(path(3), 3, out),
+               precondition_error);
+  EXPECT_THROW((void)canonical_form_if_last(path(3), -1, out),
+               precondition_error);
 }
 
 TEST(CanonicalTest, CanonicalFormInvariantUnderRelabeling) {

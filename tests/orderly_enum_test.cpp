@@ -120,7 +120,8 @@ TEST(OrderlyEnumTest, RefineRejectNeverDropsAnAcceptedChild) {
         const int deletion = full.labeling[static_cast<std::size_t>(k)];
         const bool accepted = full.orbits[static_cast<std::size_t>(k)] ==
                               full.orbits[static_cast<std::size_t>(deletion)];
-        const bool survives = canonical_form_if_last(child, k).has_value();
+        canon_result early;
+        const bool survives = canonical_form_if_last(child, k, early);
         if (accepted) {
           ++accepts;
           EXPECT_TRUE(survives) << to_string(child);
@@ -182,6 +183,41 @@ TEST(OrderlyEnumTest, ShardsAreDisjointAndCoverTheLevel) {
   std::sort(merged.begin(), merged.end());
   EXPECT_EQ(reported, merged.size());
   EXPECT_EQ(merged, all_graph_keys(8, {.connected_only = false}));
+}
+
+// The census kernel profiles the graph the walk hands over instead of
+// decoding the key, and the walk tests connectivity with one mask test per
+// child instead of a BFS. The handed graph must be the decoded key, keys
+// must come in for_each_key's order, and the connected-only walk must hand
+// over exactly the connected classes.
+TEST(OrderlyEnumTest, HandedGraphIsTheDecodedKeyInKeyOrder) {
+  for (const bool connected_only : {true, false}) {
+    for (int n = 1; n <= 8; ++n) {
+      const enumeration_plan plan(n, 16, {.connected_only = connected_only});
+      std::uint64_t total = 0;
+      for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
+        std::vector<std::uint64_t> keys;
+        plan.for_each_key(shard,
+                          [&](std::uint64_t key) { keys.push_back(key); });
+        std::vector<std::uint64_t> handed;
+        const std::uint64_t count = plan.for_each_class(
+            shard, [&](std::uint64_t key, const graph& g) {
+              handed.push_back(key);
+              ASSERT_EQ(g, graph::from_key64(n, key)) << n;
+              if (connected_only) {
+                ASSERT_TRUE(is_connected(g)) << to_string(g);
+              }
+            });
+        EXPECT_EQ(count, handed.size());
+        EXPECT_EQ(handed, keys) << n << " shard " << shard;
+        total += count;
+      }
+      const auto idx = static_cast<std::size_t>(n);
+      EXPECT_EQ(total, connected_only ? known_connected_graph_counts[idx]
+                                      : known_graph_counts[idx])
+          << n << " connected_only=" << connected_only;
+    }
+  }
 }
 
 TEST(OrderlyEnumTest, ShardCountDoesNotChangeTheUnion) {

@@ -37,7 +37,9 @@
 //                    never asks a per-alpha UCG Nash question). Like
 //                    det-taint it does not follow stored function
 //                    pointers or noisy-name member calls (see
-//                    collect_calls).
+//                    collect_calls). Both passes resolve a member call
+//                    `x.f(` only to methods the caller's file can see
+//                    through its includes (see build_call_edges).
 //
 // Line-local rules run over src/, bench/ and examples/ (`--list-rules`
 // gives each scope): epsilon-literal and float-alpha-compare keep the
@@ -349,6 +351,7 @@ struct call_site {
   std::string name;       // last component
   std::string qualifier;  // "obs" in obs::get_counter; "" for plain/member
   std::size_t line;
+  bool member{false};     // `x.f(` or `x->f(`
 };
 
 struct func_info {
@@ -363,6 +366,13 @@ struct func_info {
   std::vector<call_site> calls;
   std::vector<call_site> mentions;  // class-name mentions (RAII / ctor use)
   bool sanitized{false};            // analyze:allow(det-taint) at the def
+};
+
+// A class (or struct) definition and the names of its direct bases.
+struct class_info {
+  std::string name;
+  int file{-1};
+  std::vector<std::string> bases;  // last components
 };
 
 bool is_keyword(const std::string& w) {
@@ -392,6 +402,9 @@ class indexer {
   indexer(const std::vector<token>& tokens, int file_index)
       : t_(tokens), file_(file_index) {}
 
+  // Class definitions seen by the last run().
+  const std::vector<class_info>& classes() const { return classes_; }
+
   std::vector<func_info> run() {
     while (i_ < t_.size()) step();
     // Unterminated functions (parse confusion): close them at EOF.
@@ -417,6 +430,7 @@ class indexer {
   std::vector<frame> stack_;
   int fn_depth_{0};
   std::vector<func_info> funcs_;
+  std::vector<class_info> classes_;
 
   bool at(std::size_t j, std::string_view p) const {
     return j < t_.size() && t_[j].kind == token::kind_t::punct &&
@@ -634,6 +648,9 @@ class indexer {
         ++j;  // enum class
       }
       std::string name;
+      std::vector<std::string> bases;
+      bool in_bases = false;
+      int angle = 0;
       while (j < t_.size() && !at(j, "{") && !at(j, ";")) {
         if (name.empty() && ident_at(j) && !is_keyword(t_[j].text)) {
           name = t_[j].text;
@@ -642,9 +659,21 @@ class indexer {
           ++i_;
           return;
         }
+        if (at(j, ":") && angle == 0) in_bases = true;
+        if (at(j, "<")) ++angle;
+        if (at(j, ">")) --angle;
+        // `: public a::b<T>, c` — keep each base's last component.
+        if (in_bases && angle == 0 && ident_at(j) && !at(j + 1, "::") &&
+            t_[j].text != "public" && t_[j].text != "protected" &&
+            t_[j].text != "private" && t_[j].text != "virtual") {
+          bases.push_back(t_[j].text);
+        }
         ++j;
       }
       if (at(j, "{")) {
+        if (w != "enum" && !name.empty()) {
+          classes_.push_back({name, file_, std::move(bases)});
+        }
         stack_.push_back({frame::kind_t::cls, name, -1});
         i_ = j + 1;
       } else {
@@ -784,7 +813,7 @@ void collect_calls(const std::vector<token>& t, func_info& f,
         if (!qualifier.empty()) qualifier += "::";
         qualifier += parts[q];
       }
-      f.calls.push_back({last, qualifier, t[j].line});
+      f.calls.push_back({last, qualifier, t[j].line, member});
     }
     if (!member && ctor_classes.contains(last)) {
       f.mentions.push_back({last, "", t[j].line});
@@ -1184,9 +1213,92 @@ bool names_function(const std::string& q, const std::string& name) {
   return q == name || q.ends_with("::" + name);
 }
 
+// visible[f][g]: file g is f itself or lies in f's transitive include
+// closure (through scanned files only).
+std::vector<std::vector<bool>> include_closures(
+    std::size_t file_count, const std::vector<include_edge>& includes) {
+  std::vector<std::vector<int>> direct(file_count);
+  for (const include_edge& e : includes) {
+    if (e.to >= 0) direct[static_cast<std::size_t>(e.from)].push_back(e.to);
+  }
+  std::vector<std::vector<bool>> visible(file_count,
+                                         std::vector<bool>(file_count, false));
+  for (std::size_t f = 0; f < file_count; ++f) {
+    std::vector<int> stack{static_cast<int>(f)};
+    visible[f][f] = true;
+    while (!stack.empty()) {
+      const int at = stack.back();
+      stack.pop_back();
+      for (const int next : direct[static_cast<std::size_t>(at)]) {
+        if (visible[f][static_cast<std::size_t>(next)]) continue;
+        visible[f][static_cast<std::size_t>(next)] = true;
+        stack.push_back(next);
+      }
+    }
+  }
+  return visible;
+}
+
 // Every resolved call edge, in caller order: plain and qualified calls by
-// name, and class-name mentions as edges to that class's constructors.
-std::vector<call_edge> build_call_edges(const std::vector<func_info>& funcs) {
+// name, and class-name mentions as edges to that class's constructors. A
+// member call (`x.f(`, `x->f(`) resolves only to methods the caller's file
+// can see: the method's defining file, or that file's same-stem header,
+// is the caller's file or in its include closure. A method of a derived
+// class is also seen wherever one of its bases' definitions is, since a
+// virtual call through the base dispatches to it. Free functions never
+// match a member call, so one class's `run` no longer stands in for every
+// other class's `run`.
+std::vector<call_edge> build_call_edges(
+    const std::vector<source_file>& files,
+    const std::map<std::string, int>& file_index,
+    const std::vector<include_edge>& includes,
+    const std::vector<class_info>& classes,
+    const std::vector<func_info>& funcs) {
+  const std::vector<std::vector<bool>> visible =
+      include_closures(files.size(), includes);
+  // home_header[file]: the same-stem .hpp of a scanned .cpp, else -1.
+  std::vector<int> home_header(files.size(), -1);
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const std::string& rel = files[f].rel;
+    if (!rel.ends_with(".cpp")) continue;
+    const auto it =
+        file_index.find(rel.substr(0, rel.size() - 4) + ".hpp");
+    if (it != file_index.end()) home_header[f] = it->second;
+  }
+  std::multimap<std::string, const class_info*> class_defs;
+  for (const class_info& c : classes) class_defs.insert({c.name, &c});
+  const auto method_visible = [&](const func_info& caller,
+                                  const func_info& method) {
+    if (method.scope_class.empty()) return false;
+    const std::vector<bool>& seen =
+        visible[static_cast<std::size_t>(caller.file)];
+    const auto sees = [&](int file) {
+      const int header = home_header[static_cast<std::size_t>(file)];
+      return seen[static_cast<std::size_t>(file)] ||
+             (header >= 0 && seen[static_cast<std::size_t>(header)]);
+    };
+    if (sees(method.file)) return true;
+    // Walk the bases of the method's class, transitively.
+    std::set<std::string> met{method.scope_class};
+    std::vector<std::string> pending{method.scope_class};
+    while (!pending.empty()) {
+      const std::string name = pending.back();
+      pending.pop_back();
+      auto [lo, hi] = class_defs.equal_range(name);
+      for (auto it = lo; it != hi; ++it) {
+        for (const std::string& base : it->second->bases) {
+          if (!met.insert(base).second) continue;
+          auto [base_lo, base_hi] = class_defs.equal_range(base);
+          for (auto def = base_lo; def != base_hi; ++def) {
+            if (sees(def->second->file)) return true;
+          }
+          pending.push_back(base);
+        }
+      }
+    }
+    return false;
+  };
+
   std::multimap<std::string, int> by_name;
   std::map<std::string, std::vector<int>> ctors;
   for (std::size_t f = 0; f < funcs.size(); ++f) {
@@ -1196,16 +1308,17 @@ std::vector<call_edge> build_call_edges(const std::vector<func_info>& funcs) {
       ctors[funcs[f].name].push_back(static_cast<int>(f));
     }
   }
-  const auto resolve = [&](const call_site& c) {
+  const auto resolve = [&](const func_info& caller, const call_site& c) {
     std::vector<int> targets;
     auto [lo, hi] = by_name.equal_range(c.name);
     for (auto it = lo; it != hi; ++it) {
+      const func_info& callee = funcs[static_cast<std::size_t>(it->second)];
+      if (c.member && !method_visible(caller, callee)) continue;
       if (c.qualifier.empty()) {
         targets.push_back(it->second);
         continue;
       }
-      if (names_function(funcs[static_cast<std::size_t>(it->second)].qualified,
-                         c.qualifier + "::" + c.name)) {
+      if (names_function(callee.qualified, c.qualifier + "::" + c.name)) {
         targets.push_back(it->second);
       }
     }
@@ -1218,7 +1331,7 @@ std::vector<call_edge> build_call_edges(const std::vector<func_info>& funcs) {
         edges.push_back({static_cast<int>(f), target, c.line});
       }
     };
-    for (const call_site& c : funcs[f].calls) wire(c, resolve(c));
+    for (const call_site& c : funcs[f].calls) wire(c, resolve(funcs[f], c));
     for (const call_site& c : funcs[f].mentions) {
       const auto it = ctors.find(c.name);
       if (it != ctors.end()) wire(c, it->second);
@@ -1851,6 +1964,7 @@ int run(int argc, char** argv) {
 
   // Index functions and calls.
   std::vector<func_info> funcs;
+  std::vector<class_info> classes;
   std::vector<std::vector<token>> token_streams(files.size());
   for (std::size_t f = 0; f < files.size(); ++f) {
     token_streams[f] = tokenize(files[f].lines);
@@ -1859,6 +1973,7 @@ int run(int argc, char** argv) {
       fn.sanitized = suppressed(files[f], fn.line - 1, "det-taint");
       funcs.push_back(std::move(fn));
     }
+    classes.insert(classes.end(), idx.classes().begin(), idx.classes().end());
   }
   std::set<std::string> ctor_classes;
   for (const func_info& f : funcs) {
@@ -1873,7 +1988,8 @@ int run(int argc, char** argv) {
 
   const std::vector<include_edge> edges = extract_includes(files, file_index);
 
-  const std::vector<call_edge> calls = build_call_edges(funcs);
+  const std::vector<call_edge> calls =
+      build_call_edges(files, file_index, edges, classes, funcs);
   pass_layer_gate(files, edges, cfg, violations);
   pass_det_taint(files, funcs, calls, cfg, violations);
   pass_exact_arith(files, cfg, violations);
