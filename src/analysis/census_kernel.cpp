@@ -130,9 +130,10 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
       if (pass.replay) {
         pass.replay(shard, rows);
       } else {
-        // The generator hands over the canonical graph it already built.
-        topologies = plan_.for_each_class(
-            shard, [&](std::uint64_t, const graph& g) {
+        // The kernel profiles the graph as the generator built it: all it
+        // accumulates is isomorphism-invariant (only the region search's
+        // work counts follow the labels).
+        topologies = plan_.for_each_class(shard, [&](const graph& g) {
           const topology_profile profile = profile_topology(
               g, pass.include_ucg, pass.ucg_clamp, scratch);
           player_intervals += profile.ucg_player_intervals;

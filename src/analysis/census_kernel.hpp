@@ -1,7 +1,9 @@
 // The one census kernel behind census_sweep and stream_poa_curve. A pass
 // walks the fixed 128-shard orderly enumeration plan, profiles every
-// connected topology once (profile_topology on the canonical graph the
-// generator hands over, one profile_workspace per worker), folds it into
+// connected topology once (profile_topology on the graph the generator
+// hands over, in its construction labels: every accumulated quantity is
+// isomorphism-invariant, so no canonical labeling is needed; one
+// profile_workspace per worker), folds it into
 // per-shard accumulators at a caller-supplied set of exact probes (a
 // row_grid), and merges the shards in fixed shard order. The grid census
 // runs one pass on the caller's taus; the curve engine runs a

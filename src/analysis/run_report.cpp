@@ -309,6 +309,7 @@ text_table generator_funnel_table(const ledger_record& run) {
       {"refine rejects", run.counter(obs::names::orderly_refine_rejects)},
       {"orbit rejects", run.counter(obs::names::orderly_orbit_rejects)},
       {"accepts", run.counter(obs::names::orderly_accepts)},
+      {"branch searches", run.counter(obs::names::orderly_searches)},
   };
   for (const auto& [stage, count] : stages) {
     table.add_row({stage, std::to_string(count), share(count)});

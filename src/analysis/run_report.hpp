@@ -126,7 +126,7 @@ struct shard_phase_stats {
     const std::vector<ledger_record>& runs);
 
 /// The orderly-generator candidate funnel of one run (stage, count, share
-/// of candidates). Empty table (no rows) when the run recorded no
+/// of candidates), ending with the canonical branch searches it ran. Empty table (no rows) when the run recorded no
 /// generator counters.
 [[nodiscard]] text_table generator_funnel_table(const ledger_record& run);
 

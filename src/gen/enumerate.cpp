@@ -22,7 +22,7 @@ using aut_generators = std::vector<std::array<std::uint8_t, max_vertices>>;
 
 // Batched generator telemetry: the per-candidate path only bumps plain
 // local integers; one flush per shard (or per seed-level chunk) turns the
-// batch into five relaxed atomic adds, so the metrics registry never shows
+// batch into six relaxed atomic adds, so the metrics registry never shows
 // up in the augmentation hot loop.
 struct orderly_stats {
   std::uint64_t candidates{0};
@@ -30,6 +30,7 @@ struct orderly_stats {
   std::uint64_t refine_rejects{0};
   std::uint64_t orbit_rejects{0};
   std::uint64_t accepts{0};
+  std::uint64_t searches{0};
 };
 
 void flush_orderly_stats(const orderly_stats& stats) {
@@ -42,6 +43,8 @@ void flush_orderly_stats(const orderly_stats& stats) {
   static obs::counter& orbit_rejects =
       obs::get_counter(obs::names::orderly_orbit_rejects);
   static obs::counter& accepts = obs::get_counter(obs::names::orderly_accepts);
+  static obs::counter& searches =
+      obs::get_counter(obs::names::orderly_searches);
   if (stats.candidates > 0) candidates.add(stats.candidates);
   if (stats.prefilter_rejects > 0) {
     prefilter_rejects.add(stats.prefilter_rejects);
@@ -49,6 +52,7 @@ void flush_orderly_stats(const orderly_stats& stats) {
   if (stats.refine_rejects > 0) refine_rejects.add(stats.refine_rejects);
   if (stats.orbit_rejects > 0) orbit_rejects.add(stats.orbit_rejects);
   if (stats.accepts > 0) accepts.add(stats.accepts);
+  if (stats.searches > 0) searches.add(stats.searches);
 }
 
 std::string order_range_message(const char* function) {
@@ -73,7 +77,7 @@ std::uint64_t permuted_mask(
 // One canonical-augmentation step: attach a new vertex to `parent` (k
 // vertices, automorphism generators `gens` in the parent's own labels) in
 // every way that survives the orderly filters, and hand each ACCEPTED
-// child to `sink(child, canon, connected)`:
+// child to the sink:
 //
 //   * one attachment set per orbit of Aut(parent) on subsets of V(parent)
 //     — closing each orbit with the generators as it is first met — so a
@@ -90,12 +94,20 @@ std::uint64_t permuted_mask(
 // without a canonical form ever being computed. It is one mask test per
 // candidate: with below[d] = the parent vertices of degree < d, a child
 // vertex has degree < d = |S| iff it lies in below[d] outside S or in
-// below[d-1] inside S. The rest meet
-// canonical_form_if_last: the deletion vertex lies in the last cell of
+// below[d-1] inside S. The deletion vertex also lies in the last cell of
 // the fully refined first partition, so a new vertex outside that cell
 // is rejected right after refinement, before any branch search (the
-// cheap-invariant-first step of McKay's canonical augmentation). Only
-// the survivors pay for the search and its orbit test.
+// cheap-invariant-first step of McKay's canonical augmentation).
+//
+// Below the last level (Leaf = false) every survivor pays for the search,
+// since its children need its generators: the sink receives
+// (child, canon, connected), and may read `canon` (or move from it) only
+// until it returns. At the last level (Leaf = true) nothing needs a
+// canonical form, so the deletion test runs in the tiers of
+// canonical_deletion_test: a new vertex that is the unique minimum-degree
+// vertex (nothing else has degree <= d: the same mask test one degree up)
+// is accepted outright, and refinement alone settles most of the rest.
+// The sink receives (child, connected), the child in construction labels.
 //
 // The parent's components are found once: the child is connected iff the
 // new vertex's neighbourhood meets every one of them (the `connected` the
@@ -105,24 +117,27 @@ std::uint64_t permuted_mask(
 // paths of forests stay inside the class and the exactly-once guarantee
 // carries over unchanged.
 //
-// One canon_result serves every candidate of this parent: the canonical
-// search overwrites it in place, so past the first few candidates no
-// search allocates. The sink may read it (or move from it) only until it
-// returns.
-template <typename Sink>
+// Per parent, only the child and the first searches into the one
+// canon_result every candidate shares (the search overwrites it in place)
+// allocate: the subset-orbit closure runs on fixed stack storage.
+template <bool Leaf, typename Sink>
 void augment_once(const graph& parent, const aut_generators& gens,
                   bool forests_only, orderly_stats& stats, Sink&& sink) {
   const int k = parent.order();
+  // Parents of an order-11 target have at most 10 vertices, so the
+  // attachment sets fit the fixed orbit-closure storage below.
+  constexpr int max_parent_order = max_enumeration_order - 1;
+  ensures(k <= max_parent_order, "augment_once: parent order out of range");
   graph child = parent.with_vertex();
   std::uint64_t attached = 0;  // the new vertex's current neighbourhood
   canon_result canon;
 
-  // below[d]: the parent vertices of degree < d, for d = 0..k.
+  // below[d]: the parent vertices of degree < d, for d = 0..k+1.
   std::array<std::uint64_t, max_vertices + 1> below{};
   for (int u = 0; u < k; ++u) {
     below[static_cast<std::size_t>(parent.degree(u) + 1)] |= bit(u);
   }
-  for (std::size_t d = 1; d <= static_cast<std::size_t>(k); ++d) {
+  for (std::size_t d = 1; d <= static_cast<std::size_t>(k) + 1; ++d) {
     below[d] |= below[d - 1];
   }
 
@@ -137,26 +152,33 @@ void augment_once(const graph& parent, const aut_generators& gens,
   const std::span<const std::uint64_t> parent_components(
       comps.data(), static_cast<std::size_t>(comp_count));
 
-  const std::uint64_t subset_count = std::uint64_t{1} << k;
-  std::vector<bool> visited;
-  std::vector<std::uint64_t> orbit_queue;
-  if (!gens.empty()) visited.assign(subset_count, false);
+  // Subset-orbit closure: visited subsets as a bitset, and a stack of
+  // subsets still to map (each is pushed at most once).
+  constexpr std::size_t max_subsets = std::size_t{1} << max_parent_order;
+  std::array<std::uint64_t, max_subsets / 64> visited{};
+  std::array<std::uint16_t, max_subsets> orbit_stack;  // first depth live
+  const auto visit = [&](std::uint64_t mask) {
+    std::uint64_t& word = visited[static_cast<std::size_t>(mask >> 6)];
+    const std::uint64_t flag = bit(static_cast<int>(mask & 63));
+    const bool fresh = (word & flag) == 0;
+    word |= flag;
+    return fresh;
+  };
 
+  const std::uint64_t subset_count = std::uint64_t{1} << k;
   for (std::uint64_t subset = 0; subset < subset_count; ++subset) {
     if (!gens.empty()) {
       // Ascending iteration meets each subset orbit at its smallest
       // member first, so an already-visited subset is a non-representative.
-      if (visited[subset]) continue;
-      visited[subset] = true;
-      orbit_queue.assign(1, subset);
-      while (!orbit_queue.empty()) {
-        const std::uint64_t mask = orbit_queue.back();
-        orbit_queue.pop_back();
+      if (!visit(subset)) continue;
+      std::size_t depth = 0;
+      orbit_stack[depth++] = static_cast<std::uint16_t>(subset);
+      while (depth > 0) {
+        const std::uint64_t mask = orbit_stack[--depth];
         for (const auto& perm : gens) {
           const std::uint64_t image = permuted_mask(mask, perm);
-          if (!visited[image]) {
-            visited[image] = true;
-            orbit_queue.push_back(image);
+          if (visit(image)) {
+            orbit_stack[depth++] = static_cast<std::uint16_t>(image);
           }
         }
       }
@@ -186,46 +208,77 @@ void augment_once(const graph& parent, const aut_generators& gens,
       continue;
     }
 
-    if (!canonical_form_if_last(child, k, canon)) {
-      ++stats.refine_rejects;
-      continue;
-    }
-    const int deletion = canon.labeling[static_cast<std::size_t>(k)];
-    if (canon.orbits[static_cast<std::size_t>(k)] !=
-        canon.orbits[static_cast<std::size_t>(deletion)]) {
-      ++stats.orbit_rejects;
-      continue;
+    if constexpr (Leaf) {
+      // Zero iff no other vertex has degree <= d: the degree tier accepts.
+      const std::uint64_t tied_degree =
+          (below[d + 1] & ~subset) | (below[d] & subset);
+      if (tied_degree != 0) {
+        switch (canonical_deletion_test(child, k, canon)) {
+          case deletion_verdict::refine_reject:
+            ++stats.refine_rejects;
+            continue;
+          case deletion_verdict::orbit_reject:
+            ++stats.searches;
+            ++stats.orbit_rejects;
+            continue;
+          case deletion_verdict::orbit_accept:
+            ++stats.searches;
+            break;
+          case deletion_verdict::degree_accept:
+          case deletion_verdict::refine_accept:
+            break;
+        }
+      }
+    } else {
+      if (!canonical_form_if_last(child, k, canon)) {
+        ++stats.refine_rejects;
+        continue;
+      }
+      ++stats.searches;
+      const int deletion = canon.labeling[static_cast<std::size_t>(k)];
+      if (canon.orbits[static_cast<std::size_t>(k)] !=
+          canon.orbits[static_cast<std::size_t>(deletion)]) {
+        ++stats.orbit_rejects;
+        continue;
+      }
     }
     ++stats.accepts;
     const bool connected = std::all_of(
         parent_components.begin(), parent_components.end(),
         [&](std::uint64_t comp) { return (subset & comp) != 0; });
-    sink(child, canon, connected);
+    if constexpr (Leaf) {
+      sink(child, connected);
+    } else {
+      sink(child, canon, connected);
+    }
   }
 }
 
 // Depth-first canonical augmentation from `parent` up to `target`
-// vertices, handing each accepted class to `fn` exactly once as its
-// canonical key and canonical graph. Deterministic: the construction path
-// of a class is unique and subsets are tried in fixed ascending order.
+// vertices, handing each accepted class to `fn` exactly once, in its
+// construction labels. Deterministic: the construction path of a class is
+// unique and subsets are tried in fixed ascending order.
 std::uint64_t expand_to_target(const graph& parent, const aut_generators& gens,
                                int target, bool connected_only,
                                bool forests_only, orderly_stats& stats,
                                const enumeration_plan::class_fn& fn) {
   std::uint64_t emitted = 0;
-  augment_once(parent, gens, forests_only, stats,
-               [&](const graph& child, const canon_result& canon,
-                   bool connected) {
-                 if (child.order() == target) {
-                   if (connected_only && !connected) return;
-                   fn(canon.canonical.key64(), canon.canonical);
-                   ++emitted;
-                 } else {
-                   emitted += expand_to_target(child, canon.generators, target,
-                                               connected_only, forests_only,
-                                               stats, fn);
-                 }
-               });
+  if (parent.order() + 1 == target) {
+    augment_once<true>(parent, gens, forests_only, stats,
+                       [&](const graph& child, bool connected) {
+                         if (connected_only && !connected) return;
+                         fn(child);
+                         ++emitted;
+                       });
+  } else {
+    augment_once<false>(
+        parent, gens, forests_only, stats,
+        [&](const graph& child, const canon_result& canon, bool) {
+          emitted += expand_to_target(child, canon.generators, target,
+                                      connected_only, forests_only, stats,
+                                      fn);
+        });
+  }
   return emitted;
 }
 
@@ -284,13 +337,12 @@ enumeration_plan::enumeration_plan(int n, std::size_t shard_count,
           std::vector<seed> local;
           orderly_stats stats;
           for (std::size_t p = begin; p < end; ++p) {
-            augment_once(seeds_[p].g, seeds_[p].generators, forests_only_,
-                         stats,
-                         [&](const graph& child, canon_result& canon, bool) {
-                           local.push_back(
-                               seed{child, std::move(canon.generators),
-                                    canon.canonical.key64()});
-                         });
+            augment_once<false>(
+                seeds_[p].g, seeds_[p].generators, forests_only_, stats,
+                [&](const graph& child, canon_result& canon, bool) {
+                  local.push_back(seed{child, std::move(canon.generators),
+                                       canon.canonical.key64()});
+                });
           }
           flush_orderly_stats(stats);
           const std::lock_guard<std::mutex> lock(merge_mutex);
@@ -315,8 +367,7 @@ std::uint64_t enumeration_plan::for_each_class(std::size_t shard,
           "enumeration_plan::for_each_class: shard out of range");
   if (n_ == 0) {
     if (shard != 0) return 0;
-    const graph empty(0);
-    fn(empty.key64(), empty);
+    fn(graph(0));
     return 1;
   }
   std::uint64_t emitted = 0;
@@ -331,7 +382,11 @@ std::uint64_t enumeration_plan::for_each_class(std::size_t shard,
 
 std::uint64_t enumeration_plan::for_each_key(
     std::size_t shard, const std::function<void(std::uint64_t)>& fn) const {
-  return for_each_class(shard, [&](std::uint64_t key, const graph&) { fn(key); });
+  canon_result canon;
+  return for_each_class(shard, [&](const graph& g) {
+    canonical_form(g, canon);
+    fn(canon.canonical.key64());
+  });
 }
 
 void for_each_graph_key_shard(int n, std::size_t shard,
@@ -416,7 +471,7 @@ std::uint64_t count_graphs(int n, const enumeration_options& options) {
   parallel_for_chunks(
       shard_count, threads, [&](std::size_t begin, std::size_t end) {
         for (std::size_t shard = begin; shard < end; ++shard) {
-          shard_counts[shard] = plan.for_each_key(shard, [](std::uint64_t) {});
+          shard_counts[shard] = plan.for_each_class(shard, [](const graph&) {});
         }
       });
 

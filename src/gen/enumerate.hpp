@@ -16,6 +16,11 @@
 //     first refinement orders degrees descending, that vertex always has
 //     minimum degree, which gives a cheap popcount pre-filter that rejects
 //     most candidates before any canonical form is computed.
+//   * At the last level the children need no generators, so the test runs
+//     in tiers (canonical_deletion_test): a unique minimum-degree new
+//     vertex, or one alone in the refined partition's last cell, is
+//     accepted with no branch search, and the class is handed over as
+//     built, not relabeled.
 //
 // Every class therefore has a unique construction path from the empty
 // graph, which is what makes sharding exact: partitioning the classes at a
@@ -84,8 +89,12 @@ struct enumeration_options {
 /// concurrently — for_each_class is const and thread-safe across shards.
 class enumeration_plan {
  public:
-  /// Receives one class: its canonical key and its canonical graph.
-  using class_fn = std::function<void(std::uint64_t key, const graph& g)>;
+  /// Receives one class as the graph the generator built, in its
+  /// construction labels: isomorphic to the class's canonical graph but
+  /// not, in general, equal to it. Canonicalize it (canonical_form,
+  /// canonical_key64) when a canonical key or labeling is needed, as
+  /// for_each_key does.
+  using class_fn = std::function<void(const graph& g)>;
 
   /// Requires 0 <= n <= max_enumeration_order and shard_count >= 1.
   enumeration_plan(int n, std::size_t shard_count,
@@ -98,14 +107,15 @@ class enumeration_plan {
 
   /// Walk shard `shard` once and hand every class to `fn` in
   /// deterministic generation order (NOT globally sorted; sort or merge if
-  /// you need order). The graph is the one the canonical search just
-  /// built, equal to graph::from_key64(order(), key), so a consumer that
-  /// needs the adjacency never decodes the key; it is valid only during
-  /// the call. Returns the number of classes handed over. Requires
-  /// shard < shard_count().
+  /// you need order). The last level runs no canonical search unless the
+  /// deletion test needs one, so an isomorphism-invariant consumer (the
+  /// census kernel) pays for no canonical labeling at all. The graph is
+  /// valid only during the call. Returns the number of classes handed
+  /// over. Requires shard < shard_count().
   std::uint64_t for_each_class(std::size_t shard, const class_fn& fn) const;
 
-  /// for_each_class with only the keys.
+  /// for_each_class with each class's canonical key, in the same order:
+  /// canonicalizes every handed graph (one reused canon_result per call).
   std::uint64_t for_each_key(
       std::size_t shard,
       const std::function<void(std::uint64_t)>& fn) const;

@@ -89,21 +89,48 @@ class canon_search {
       out_.generators.clear();
       return true;
     }
+    const ordered_partition root = refined_root();
+    if (last >= 0 && last_cell_begin(root, last) < 0) return false;
+    complete(root);
+    return true;
+  }
 
+  // The canonical-deletion test past its degree tier (see
+  // canonical_deletion_test); requires n_ >= 1.
+  deletion_verdict decide(int v) {
+    const ordered_partition root = refined_root();
+    const int begin = last_cell_begin(root, v);
+    if (begin < 0) return deletion_verdict::refine_reject;
+    if (begin == n_ - 1) return deletion_verdict::refine_accept;
+    complete(root);
+    const int last = best_leaf_[static_cast<std::size_t>(n_ - 1)];
+    return orbits_.find(v) == orbits_.find(last)
+               ? deletion_verdict::orbit_accept
+               : deletion_verdict::orbit_reject;
+  }
+
+ private:
+  ordered_partition refined_root() {
     ordered_partition root;
     root.n = n_;
     for (int i = 0; i < n_; ++i) {
       root.elems[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(i);
     }
     refine(root, low_bits(n_));
-    if (last >= 0) {
-      const int last_begin = 63 - std::countl_zero(root.starts);
-      const auto cell_tail = root.elems.begin() + n_;
-      if (std::find(root.elems.begin() + last_begin, cell_tail, last) ==
-          cell_tail) {
-        return false;
-      }
-    }
+    return root;
+  }
+
+  // First position of the refined partition's last cell, or -1 when v is
+  // not in it.
+  int last_cell_begin(const ordered_partition& root, int v) const {
+    const int begin = 63 - std::countl_zero(root.starts);
+    const auto tail = root.elems.begin() + n_;
+    return std::find(root.elems.begin() + begin, tail, v) == tail ? -1
+                                                                  : begin;
+  }
+
+  // Branch search from the refined root, then write the result to `out`.
+  void complete(const ordered_partition& root) {
     out_.generators.clear();
     search(root);
 
@@ -116,10 +143,8 @@ class canon_search {
       out_.orbits[static_cast<std::size_t>(v)] = orbits_.find(v);
     }
     out_.generators_found = static_cast<int>(out_.generators.size());
-    return true;
   }
 
- private:
   // --- refinement ---------------------------------------------------------
 
   // Upper bound on outstanding refinement scopes: every split of a cell
@@ -373,14 +398,31 @@ class canon_search {
 
 canon_result canonical_form(const graph& g) {
   canon_result result;
-  canon_search(g, result).run(-1);
+  canonical_form(g, result);
   return result;
+}
+
+void canonical_form(const graph& g, canon_result& out) {
+  canon_search(g, out).run(-1);
 }
 
 bool canonical_form_if_last(const graph& g, int v, canon_result& out) {
   expects(v >= 0 && v < g.order(),
           "canonical_form_if_last: vertex out of range");
   return canon_search(g, out).run(v);
+}
+
+deletion_verdict canonical_deletion_test(const graph& g, int v,
+                                         canon_result& out) {
+  expects(v >= 0 && v < g.order(),
+          "canonical_deletion_test: vertex out of range");
+  const int degree = g.degree(v);
+  bool unique_minimum = true;
+  for (int u = 0; u < g.order() && unique_minimum; ++u) {
+    unique_minimum = u == v || g.degree(u) > degree;
+  }
+  if (unique_minimum) return deletion_verdict::degree_accept;
+  return canon_search(g, out).decide(v);
 }
 
 std::uint64_t canonical_key64(const graph& g) {

@@ -7,6 +7,14 @@
 // The canonical form is the lexicographically *maximal* relabeled
 // adjacency certificate over all vertex orderings explored by the search;
 // two graphs are isomorphic iff their canonical certificates coincide.
+//
+// The orderly generator asks one narrower question of every candidate
+// child: is its new vertex in the orbit of the canonical deletion vertex,
+// labeling[n-1]? canonical_form_if_last answers it with the full form
+// (below the last level, where the child's generators are needed), and
+// canonical_deletion_test in tiers that stop before the branch search
+// whenever degrees or refinement already decide it (at the last level,
+// where only the verdict is).
 #pragma once
 
 #include <array>
@@ -47,18 +55,47 @@ struct canon_result {
 /// K16 2.5 ms, K24 40 ms, and K_{32,32} did not finish in 20 s.
 [[nodiscard]] canon_result canonical_form(const graph& g);
 
+/// The same search written into a caller-owned `out`. Its vectors keep
+/// their capacity, so one `out` reused across calls stops allocating once
+/// it has met the largest graph.
+void canonical_form(const graph& g, canon_result& out);
+
 /// The same search written into a caller-owned `out`, or false when
 /// partition refinement alone proves that v cannot share an Aut(g)-orbit
 /// with labeling[n-1]: the search keeps the refined unit partition's last
 /// cell at the tail of every labeling, and orbits lie inside cells, so a
 /// v outside that cell is rejected before any branching. The orderly
-/// generator's canonical deletion test ("refine-then-reject"). On true,
-/// every field of `out` equals canonical_form(g)'s; on false, `out` holds
-/// no result. Its vectors keep their capacity, so one `out` reused across
-/// calls stops allocating once it has met the largest graph. Requires
-/// 0 <= v < order.
+/// generator's canonical deletion test ("refine-then-reject") below its
+/// last level, where the child's canonical form and generators are needed
+/// anyway. On true, every field of `out` equals canonical_form(g)'s; on
+/// false, `out` holds no result. Requires 0 <= v < order.
 [[nodiscard]] bool canonical_form_if_last(const graph& g, int v,
                                           canon_result& out);
+
+/// How canonical_deletion_test settled its verdict, cheapest tier first.
+enum class deletion_verdict : std::uint8_t {
+  degree_accept,  // v is the unique minimum-degree vertex
+  refine_reject,  // v lies outside the refined unit partition's last cell
+  refine_accept,  // v is that cell's only member
+  orbit_reject,   // the branch search ran: v is outside labeling[n-1]'s orbit
+  orbit_accept,   // the branch search ran: v is inside it
+};
+
+/// McKay's canonical-deletion test: does v share an Aut(g)-orbit with
+/// labeling[n-1], the vertex at the last canonical position? Each tier
+/// answers exactly what the full search would. The first refinement orders
+/// degrees descending and the search keeps the refined unit partition's
+/// last cell at the tail of every labeling, so a unique minimum-degree v
+/// is labeling[n-1] with no canonical work, a v outside that cell is
+/// rejected and a v alone in it is accepted without branching. Only the
+/// rest run the branch search (from the root already refined) and its
+/// orbit test; `out` is its workspace and, on the two orbit verdicts,
+/// holds canonical_form(g). The orderly generator's last level uses it,
+/// where no canonical form is needed: it settles the degree tier on its
+/// own prefilter masks and calls this for the rest. Requires
+/// 0 <= v < order.
+[[nodiscard]] deletion_verdict canonical_deletion_test(const graph& g, int v,
+                                                       canon_result& out);
 
 /// Canonical 64-bit key (upper-triangle packing of the canonical graph).
 /// Requires order <= 11. Equal keys + equal order <=> isomorphic.

@@ -289,6 +289,10 @@ inline constexpr const char* orderly_orbit_rejects =
     "gen.orderly.orbit_rejects";
 /// Classes emitted by the generator.
 inline constexpr const char* orderly_accepts = "gen.orderly.accepts";
+/// Canonical branch searches run. Below the last level every candidate
+/// past refinement pays one; at the last level only those the degree and
+/// refinement tiers of the deletion test leave open.
+inline constexpr const char* orderly_searches = "gen.orderly.searches";
 /// Packed-profile arena bytes committed by the streaming engine.
 inline constexpr const char* profile_arena_bytes =
     "poa_stream.profile_arena_bytes";

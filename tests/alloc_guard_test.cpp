@@ -1,10 +1,10 @@
 // Allocation guard for the census hot path. The orderly walk reuses one
-// canonical-search result per parent and hands its canonical graph straight
-// to the kernel, so the heap traffic of a census no longer scales with the
-// candidates it canonicalizes. This binary replaces the global operator new
+// canonical-search result per parent, closes subset orbits on the stack and
+// hands each class to the kernel as the graph it built, so the heap traffic
+// of a census no longer scales with the candidates it canonicalizes. This binary replaces the global operator new
 // with a counting one (hence its own executable: the replacement applies
 // to the whole program) and pins that a warm n = 8 curve census allocates
-// fewer than two times per topology.
+// less than once per topology.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -40,17 +40,22 @@ namespace {
 // The first call warms what a process builds once (metric registry
 // entries, pool threads); the second is measured. Generation and
 // profiling run once per topology, so a per-candidate or per-topology
-// allocation would push the ratio past 2 (it read ~8 when every
-// canonical search built its result from scratch and the kernel decoded
-// each key into a fresh graph).
-TEST(AllocationGuard, WarmCurveCensusAllocatesLessThanTwicePerTopology) {
+// allocation would push the ratio past 1. It reads 9,606 allocations for
+// 11,117 topologies (0.86): what is left is per parent (the child graph,
+// the first canonical search's result), per shard and per pass. The bound
+// of one per topology leaves a 14% margin; it read 1.17 while every
+// parent heap-allocated its subset-orbit closure and the last level
+// canonicalized every accepted child, and ~8 when every canonical search
+// built its result from scratch and the kernel decoded each key into a
+// fresh graph.
+TEST(AllocationGuard, WarmCurveCensusAllocatesLessThanOncePerTopology) {
   const poa_stream_options options{.include_ucg = false, .threads = 1};
   (void)stream_poa_curve(8, options);
   const std::uint64_t before = allocations.load();
   const poa_curve_summary summary = stream_poa_curve(8, options);
   const std::uint64_t made = allocations.load() - before;
   ASSERT_EQ(summary.topologies, known_connected_graph_counts[8]);
-  EXPECT_LT(made, 2 * summary.topologies) << made << " allocations";
+  EXPECT_LT(made, summary.topologies) << made << " allocations";
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "gen/random.hpp"
 #include "graph/metrics.hpp"
 #include "testing.hpp"
+#include "util/bitops.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -103,6 +104,62 @@ TEST(CanonicalTest, ReusedResultMatchesAFreshSearch) {
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// The orderly generator's last level decides the canonical-deletion test
+// in tiers: degree, then refinement, then the full search. Each tier must
+// answer what the full search answers, so on every graph through n = 7
+// (connected or not) and every v the verdict must accept iff v shares
+// labeling[n-1]'s orbit, and on the two orbit verdicts the workspace must
+// hold the full canonical form. Every tier must fire somewhere. The graphs
+// come from extending every class by every attachment set and deduping on
+// canonical keys, since the orderly generator itself runs this test.
+TEST(CanonicalTest, TieredDeletionTestMatchesTheFullSearch) {
+  std::array<long long, 5> tiers{};
+  canon_result out;
+  std::vector<graph> level{graph(0)};
+  for (int n = 1; n <= 7; ++n) {
+    std::set<std::uint64_t> seen;
+    std::vector<graph> next;
+    for (const graph& parent : level) {
+      for (std::uint64_t subset = 0; subset < (std::uint64_t{1} << (n - 1));
+           ++subset) {
+        graph g = parent.with_vertex();
+        for_each_bit(subset, [&](int w) { g.add_edge(w, n - 1); });
+        const canon_result full = canonical_form(g);
+        if (!seen.insert(full.canonical.key64()).second) continue;
+        next.push_back(g);
+        const int last = full.labeling[static_cast<std::size_t>(n - 1)];
+        for (int v = 0; v < n; ++v) {
+          const bool deletable = full.orbits[static_cast<std::size_t>(v)] ==
+                                 full.orbits[static_cast<std::size_t>(last)];
+          const deletion_verdict verdict = canonical_deletion_test(g, v, out);
+          ++tiers[static_cast<std::size_t>(verdict)];
+          const bool accepted = verdict == deletion_verdict::degree_accept ||
+                                verdict == deletion_verdict::refine_accept ||
+                                verdict == deletion_verdict::orbit_accept;
+          ASSERT_EQ(accepted, deletable)
+              << to_string(g) << " v=" << v
+              << " verdict=" << static_cast<int>(verdict);
+          if (verdict == deletion_verdict::orbit_reject ||
+              verdict == deletion_verdict::orbit_accept) {
+            ASSERT_EQ(out.labeling, full.labeling) << to_string(g);
+            ASSERT_EQ(out.orbits, full.orbits) << to_string(g);
+            ASSERT_EQ(out.canonical, full.canonical) << to_string(g);
+          }
+        }
+      }
+    }
+    ASSERT_EQ(next.size(), known_graph_counts[static_cast<std::size_t>(n)]);
+    level = std::move(next);
+  }
+  for (std::size_t tier = 0; tier < tiers.size(); ++tier) {
+    EXPECT_GT(tiers[tier], 0) << "verdict " << tier;
+  }
+  EXPECT_THROW((void)canonical_deletion_test(path(3), 3, out),
+               precondition_error);
+  EXPECT_THROW((void)canonical_deletion_test(path(3), -1, out),
+               precondition_error);
 }
 
 TEST(CanonicalTest, CanonicalFormIfLastRejectsOutOfRangeVertices) {

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "analysis/topology_profile.hpp"
 #include "graph/canonical.hpp"
 #include "graph/graph.hpp"
 #include "graph/paths.hpp"
@@ -136,7 +137,9 @@ TEST(OrderlyEnumTest, RefineRejectNeverDropsAnAcceptedChild) {
 
 // The funnel split at n = 7: the refinement catches all but 2 of the 388
 // candidates the full orbit test used to reject; candidates and accepts
-// are those of the generator without the early exit.
+// are those of the generator without the early exit. Of the 1,638
+// candidates past the prefilter, the 386 refine rejects and the last
+// level's degree and refinement accepts run no branch search.
 TEST(OrderlyEnumTest, FunnelCountsAtN7) {
   obs::counter& candidates = obs::get_counter(obs::names::orderly_candidates);
   obs::counter& prefilter =
@@ -144,15 +147,17 @@ TEST(OrderlyEnumTest, FunnelCountsAtN7) {
   obs::counter& refine = obs::get_counter(obs::names::orderly_refine_rejects);
   obs::counter& orbit = obs::get_counter(obs::names::orderly_orbit_rejects);
   obs::counter& accepts = obs::get_counter(obs::names::orderly_accepts);
+  obs::counter& searches = obs::get_counter(obs::names::orderly_searches);
   const std::uint64_t before[] = {candidates.value(), prefilter.value(),
-                                  refine.value(), orbit.value(),
-                                  accepts.value()};
+                                  refine.value(),     orbit.value(),
+                                  accepts.value(),    searches.value()};
   EXPECT_EQ(count_graphs(7, {.connected_only = true}), 853U);
   EXPECT_EQ(candidates.value() - before[0], 5759U);
   EXPECT_EQ(prefilter.value() - before[1], 4119U);
   EXPECT_EQ(refine.value() - before[2], 386U);
   EXPECT_EQ(orbit.value() - before[3], 2U);
   EXPECT_EQ(accepts.value() - before[4], 1252U);
+  EXPECT_EQ(searches.value() - before[5], 559U);
 }
 
 TEST(OrderlyEnumTest, ShardsAreDisjointAndCoverTheLevel) {
@@ -185,28 +190,44 @@ TEST(OrderlyEnumTest, ShardsAreDisjointAndCoverTheLevel) {
   EXPECT_EQ(merged, all_graph_keys(8, {.connected_only = false}));
 }
 
-// The census kernel profiles the graph the walk hands over instead of
-// decoding the key, and the walk tests connectivity with one mask test per
-// child instead of a BFS. The handed graph must be the decoded key, keys
-// must come in for_each_key's order, and the connected-only walk must hand
-// over exactly the connected classes.
+// The census kernel profiles the graph the walk hands over, in the labels
+// the generator built it in, and the walk tests connectivity with one mask
+// test per child instead of a BFS. The handed graph must canonicalize to
+// for_each_key's key, in for_each_key's order, and the connected-only walk
+// must hand over exactly the connected classes. Through n = 7 the kernel's
+// profile of the handed graph must equal that of the decoded key in every
+// isomorphism-invariant field (the region search's work counts follow the
+// labels and may differ).
 TEST(OrderlyEnumTest, HandedGraphIsTheDecodedKeyInKeyOrder) {
+  profile_workspace scratch;
   for (const bool connected_only : {true, false}) {
     for (int n = 1; n <= 8; ++n) {
       const enumeration_plan plan(n, 16, {.connected_only = connected_only});
+      const bool profiled = connected_only && n >= 2 && n <= 7;
       std::uint64_t total = 0;
       for (std::size_t shard = 0; shard < plan.shard_count(); ++shard) {
         std::vector<std::uint64_t> keys;
         plan.for_each_key(shard,
                           [&](std::uint64_t key) { keys.push_back(key); });
         std::vector<std::uint64_t> handed;
-        const std::uint64_t count = plan.for_each_class(
-            shard, [&](std::uint64_t key, const graph& g) {
-              handed.push_back(key);
-              ASSERT_EQ(g, graph::from_key64(n, key)) << n;
+        const std::uint64_t count =
+            plan.for_each_class(shard, [&](const graph& g) {
+              ASSERT_EQ(g.order(), n);
+              handed.push_back(canonical_key64(g));
               if (connected_only) {
                 ASSERT_TRUE(is_connected(g)) << to_string(g);
               }
+              if (!profiled) return;
+              const topology_profile built =
+                  profile_topology(g, true, {}, scratch);
+              const topology_profile decoded = profile_topology(
+                  graph::from_key64(n, handed.back()), true, {}, scratch);
+              ASSERT_EQ(built.edges, decoded.edges) << to_string(g);
+              ASSERT_EQ(built.distance_total, decoded.distance_total)
+                  << to_string(g);
+              ASSERT_EQ(built.bcg_interval, decoded.bcg_interval)
+                  << to_string(g);
+              ASSERT_EQ(built.ucg, decoded.ucg) << to_string(g);
             });
         EXPECT_EQ(count, handed.size());
         EXPECT_EQ(handed, keys) << n << " shard " << shard;

@@ -132,7 +132,7 @@ TEST(FunnelTest, RowsAreConsistentWithTheCounters) {
                 run.counter(obs::names::orderly_accepts));
 
   const text_table funnel = generator_funnel_table(run);
-  ASSERT_EQ(funnel.rows().size(), 5u);
+  ASSERT_EQ(funnel.rows().size(), 6u);
   EXPECT_EQ(funnel.rows()[0][0], "candidates");
   EXPECT_EQ(funnel.rows()[0][1], std::to_string(candidates));
   EXPECT_EQ(funnel.rows()[0][2], "100%");
@@ -141,19 +141,22 @@ TEST(FunnelTest, RowsAreConsistentWithTheCounters) {
             std::to_string(run.counter(obs::names::orderly_accepts)));
 
   // The n = 7 funnel with the split: most orbit rejects happen right
-  // after refinement.
+  // after refinement, and most accepts need no branch search.
   ledger_record split;
   split.counters = {{obs::names::orderly_accepts, 1252},
                     {obs::names::orderly_candidates, 5759},
                     {obs::names::orderly_orbit_rejects, 2},
                     {obs::names::orderly_prefilter_rejects, 4119},
-                    {obs::names::orderly_refine_rejects, 386}};
+                    {obs::names::orderly_refine_rejects, 386},
+                    {obs::names::orderly_searches, 559}};
   const text_table split_funnel = generator_funnel_table(split);
-  ASSERT_EQ(split_funnel.rows().size(), 5u);
+  ASSERT_EQ(split_funnel.rows().size(), 6u);
   EXPECT_EQ(split_funnel.rows()[2][0], "refine rejects");
   EXPECT_EQ(split_funnel.rows()[2][1], "386");
   EXPECT_EQ(split_funnel.rows()[3][0], "orbit rejects");
   EXPECT_EQ(split_funnel.rows()[3][1], "2");
+  EXPECT_EQ(split_funnel.rows()[5][0], "branch searches");
+  EXPECT_EQ(split_funnel.rows()[5][1], "559");
 
   // A run with no generator counters yields an empty funnel.
   ledger_record bare;
