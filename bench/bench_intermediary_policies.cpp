@@ -31,8 +31,10 @@ int main(int argc, char** argv) try {
       intermediary_policy::prefer_additions,
       intermediary_policy::prefer_severances};
 
-  text_table table({"alpha", "random", "greedy-social", "additions-first",
-                    "severances-first", "optimum"});
+  std::vector<std::string> header{"alpha"};
+  for (const auto policy : policies) header.emplace_back(to_string(policy));
+  header.emplace_back("optimum");
+  text_table table(header);
 
   for (const double alpha : {1.3, 2.6, 5.3, 10.7, 21.3}) {
     const connection_game game{n, alpha, link_rule::bilateral};
@@ -43,11 +45,12 @@ int main(int argc, char** argv) try {
       int converged = 0;
       for (int seed = 0; seed < seeds; ++seed) {
         rng random(static_cast<std::uint64_t>(1000 * alpha) + seed);
-        const auto result =
-            run_intermediary_dynamics(graph(n), alpha, policy, random);
+        const auto result = run_pairwise_dynamics(graph(n), alpha, random,
+                                                  {.policy = policy});
         if (!result.converged) continue;
         ++converged;
-        poa_sum += result.social_cost / optimum;
+        // An absorbed network is connected: its social cost is finite.
+        poa_sum += social_cost(result.final, game).finite / optimum;
       }
       row.push_back(converged > 0 ? fmt_double(poa_sum / converged, 4) : "-");
     }

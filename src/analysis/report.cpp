@@ -115,10 +115,4 @@ text_table poa_curve_table(const poa_curve_summary& curve) {
   return table;
 }
 
-void write_csv_file(const text_table& table, const std::string& path) {
-  std::ofstream out = open_for_write(path, "write_csv_file");
-  table.to_csv(out);
-  flush_or_throw(out, path, "write_csv_file");
-}
-
 }  // namespace bnf

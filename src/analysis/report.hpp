@@ -38,8 +38,4 @@ namespace bnf {
 /// stability, and average link count.
 [[nodiscard]] text_table poa_curve_table(const poa_curve_summary& curve);
 
-/// Write any table as CSV to `path` (truncates). Throws precondition_error
-/// on I/O failure with the OS errno text in the message.
-void write_csv_file(const text_table& table, const std::string& path);
-
 }  // namespace bnf

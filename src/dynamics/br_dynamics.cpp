@@ -25,13 +25,6 @@ graph ucg_state::realize() const {
   return g;
 }
 
-double ucg_state::finite_cost(double alpha, int i) const {
-  expects(i >= 0 && i < n, "ucg_state::finite_cost: out of range");
-  const graph g = realize();
-  return alpha * popcount(bought[static_cast<std::size_t>(i)]) +
-         static_cast<double>(distance_sum(g, i).sum);
-}
-
 ucg_state empty_ucg_state(int n) { return ucg_state(n); }
 
 br_dynamics_result run_br_dynamics(const ucg_state& start, double alpha,

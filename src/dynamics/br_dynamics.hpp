@@ -23,9 +23,6 @@ struct ucg_state {
   explicit ucg_state(int players);
   /// The realized network: union of all bought links.
   [[nodiscard]] graph realize() const;
-  /// Player i's cost alpha*|bought_i| + distsum (lexicographic on
-  /// unreachable count; see game/connection_game.hpp).
-  [[nodiscard]] double finite_cost(double alpha, int i) const;
 };
 
 struct br_dynamics_options {

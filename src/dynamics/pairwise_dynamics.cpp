@@ -1,10 +1,26 @@
 #include "dynamics/pairwise_dynamics.hpp"
 
+#include <limits>
+
 #include "game/connection_game.hpp"
 #include "graph/paths.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
+
+const char* to_string(intermediary_policy policy) {
+  switch (policy) {
+    case intermediary_policy::random_move:
+      return "random";
+    case intermediary_policy::greedy_social:
+      return "greedy-social";
+    case intermediary_policy::prefer_additions:
+      return "additions-first";
+    case intermediary_policy::prefer_severances:
+      return "severances-first";
+  }
+  return "?";
+}
 
 namespace {
 
@@ -14,6 +30,65 @@ agent_cost toggled_cost(const graph& g, double alpha, int x, int y,
                         bool adding) {
   graph changed = adding ? g.with_edge(x, y) : g.without_edge(x, y);
   return bcg_player_cost(changed, alpha, x);
+}
+
+void apply_move(graph& g, const pairwise_move& move) {
+  if (move.type == pairwise_move::kind::add) {
+    g.add_edge(move.u, move.v);
+  } else {
+    g.remove_edge(move.u, move.v);
+  }
+}
+
+double social_cost_after(const graph& g, const pairwise_move& move,
+                         const connection_game& game) {
+  graph changed = g;
+  apply_move(changed, move);
+  const agent_cost cost = social_cost(changed, game);
+  // Disconnected outcomes rank behind every connected one.
+  return cost.is_finite() ? cost.finite
+                          : std::numeric_limits<double>::max() / 2 +
+                                cost.unreachable;
+}
+
+// Index of the move `policy` runs. random_move, and a preference policy
+// that finds no move of its kind, take the one uniform draw at the end.
+std::size_t select_move(const std::vector<pairwise_move>& moves,
+                        const graph& g, double alpha,
+                        intermediary_policy policy, rng& random) {
+  switch (policy) {
+    case intermediary_policy::random_move:
+      break;
+
+    case intermediary_policy::greedy_social: {
+      const connection_game game{g.order(), alpha, link_rule::bilateral};
+      std::size_t best = 0;
+      double best_cost = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < moves.size(); ++i) {
+        const double cost = social_cost_after(g, moves[i], game);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best = i;
+        }
+      }
+      return best;
+    }
+
+    case intermediary_policy::prefer_additions:
+    case intermediary_policy::prefer_severances: {
+      const auto preferred = policy == intermediary_policy::prefer_additions
+                                 ? pairwise_move::kind::add
+                                 : pairwise_move::kind::sever;
+      std::vector<std::size_t> pool;
+      for (std::size_t i = 0; i < moves.size(); ++i) {
+        if (moves[i].type == preferred) pool.push_back(i);
+      }
+      if (pool.empty()) break;
+      return pool[random.below(static_cast<std::uint64_t>(pool.size()))];
+    }
+  }
+  return static_cast<std::size_t>(
+      random.below(static_cast<std::uint64_t>(moves.size())));
 }
 
 }  // namespace
@@ -55,13 +130,9 @@ pairwise_dynamics_result run_pairwise_dynamics(
       result.converged = true;
       break;
     }
-    const auto& move =
-        moves[random.below(static_cast<std::uint64_t>(moves.size()))];
-    if (move.type == pairwise_move::kind::add) {
-      result.final.add_edge(move.u, move.v);
-    } else {
-      result.final.remove_edge(move.u, move.v);
-    }
+    const auto& move = moves[select_move(moves, result.final, alpha,
+                                         options.policy, random)];
+    apply_move(result.final, move);
     if (options.keep_trace) result.trace.push_back(move);
     ++result.steps;
   }

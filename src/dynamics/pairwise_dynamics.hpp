@@ -1,10 +1,15 @@
 // Myopic bilateral link dynamics for the BCG (the natural decentralized
 // process whose absorbing states are exactly the pairwise stable graphs):
-// at each step a uniformly random improving move is applied, where a move
-// is either
+// at each step one improving move is applied, where a move is either
 //   - severing an edge one endpoint strictly gains from dropping, or
 //   - adding a missing link that strictly helps one endpoint and weakly
 //     helps the other (the Definition 3 blocking condition).
+// A policy picks which improving move runs; by default it is a uniformly
+// random one. The other policies are the paper's second future-work
+// direction (Section 6): an intermediary that controls the dynamics
+// "subject to equilibrium constraints". Players stay selfish (every move
+// still has to improve for its movers), so every policy absorbs at the
+// same pairwise stable networks; it only chooses which one.
 // Disconnected intermediate states are handled with the lexicographic
 // (unreachable count, finite cost) order: connecting components is always
 // strictly improving, matching the paper's infinite-distance convention.
@@ -21,10 +26,21 @@
 
 namespace bnf {
 
+/// Which improving move runs at each step.
+enum class intermediary_policy {
+  random_move,        // baseline: uniformly random improving move
+  greedy_social,      // the move that most reduces social cost
+  prefer_additions,   // connect first, sever only when nothing to add
+  prefer_severances,  // prune first, add only when nothing to sever
+};
+
+[[nodiscard]] const char* to_string(intermediary_policy policy);
+
 struct pairwise_dynamics_options {
   long long max_steps{100000};
   /// Record the applied move sequence (for traces/tests).
   bool keep_trace{false};
+  intermediary_policy policy{intermediary_policy::random_move};
 };
 
 struct pairwise_move {

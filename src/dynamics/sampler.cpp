@@ -28,12 +28,6 @@ double sampler_result::average_edges() const {
   return sum / static_cast<double>(equilibria.size());
 }
 
-double sampler_result::worst_poa() const {
-  double worst = 0.0;
-  for (const auto& eq : equilibria) worst = std::max(worst, eq.poa);
-  return worst;
-}
-
 namespace {
 
 void record_equilibrium(std::map<std::uint64_t, sampled_equilibrium>& found,

@@ -34,7 +34,6 @@ struct sampler_result {
 
   [[nodiscard]] double average_poa() const;
   [[nodiscard]] double average_edges() const;
-  [[nodiscard]] double worst_poa() const;
 };
 
 /// Sample pairwise-stable networks of the BCG at link cost alpha by

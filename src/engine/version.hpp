@@ -6,7 +6,7 @@
 namespace bnf {
 
 /// `git describe --always --dirty` of the checkout this binary was built
-/// from, or "unknown" when git was unavailable at configure time.
+/// from, read at build time, or "unknown" when git was unavailable.
 [[nodiscard]] const std::string& git_describe();
 
 }  // namespace bnf

@@ -1,7 +1,6 @@
 #include "game/connection_game.hpp"
 
 #include "graph/paths.hpp"
-#include "util/bitops.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -10,81 +9,10 @@ const char* to_string(link_rule rule) {
   return rule == link_rule::bilateral ? "BCG" : "UCG";
 }
 
-strategy_profile::strategy_profile(int n) : n_(n) {
-  expects(n >= 0 && n <= max_vertices,
-          "strategy_profile: player count out of range");
-  rows_.assign(static_cast<std::size_t>(n), 0);
-}
-
-bool strategy_profile::requests(int i, int j) const {
-  expects(i >= 0 && i < n_ && j >= 0 && j < n_,
-          "strategy_profile::requests: player out of range");
-  return has_bit(rows_[static_cast<std::size_t>(i)], j);
-}
-
-void strategy_profile::set_request(int i, int j, bool value) {
-  expects(i >= 0 && i < n_ && j >= 0 && j < n_ && i != j,
-          "strategy_profile::set_request: invalid player pair");
-  if (value) {
-    rows_[static_cast<std::size_t>(i)] |= bit(j);
-  } else {
-    rows_[static_cast<std::size_t>(i)] &= ~bit(j);
-  }
-}
-
-std::uint64_t strategy_profile::request_mask(int i) const {
-  expects(i >= 0 && i < n_, "strategy_profile::request_mask: out of range");
-  return rows_[static_cast<std::size_t>(i)];
-}
-
-int strategy_profile::request_count(int i) const {
-  return popcount(request_mask(i));
-}
-
-graph strategy_profile::realize(link_rule rule) const {
-  graph g(n_);
-  for (int i = 0; i < n_; ++i) {
-    for (int j = i + 1; j < n_; ++j) {
-      const bool ij = has_bit(rows_[static_cast<std::size_t>(i)], j);
-      const bool ji = has_bit(rows_[static_cast<std::size_t>(j)], i);
-      const bool edge =
-          rule == link_rule::bilateral ? (ij && ji) : (ij || ji);
-      if (edge) g.add_edge(i, j);
-    }
-  }
-  return g;
-}
-
-strategy_profile strategy_profile::supporting_bilateral(const graph& g) {
-  strategy_profile s(g.order());
-  for (const auto& [u, v] : g.edges()) {
-    s.set_request(u, v, true);
-    s.set_request(v, u, true);
-  }
-  return s;
-}
-
 agent_cost bcg_player_cost(const graph& g, double alpha, int i) {
   const distance_summary d = distance_sum(g, i);
   return {d.unreached,
           alpha * g.degree(i) + static_cast<double>(d.sum)};
-}
-
-agent_cost ucg_player_cost(const graph& g, double alpha, int i,
-                           int links_bought) {
-  expects(links_bought >= 0 && links_bought <= g.degree(i),
-          "ucg_player_cost: bought links exceed degree");
-  const distance_summary d = distance_sum(g, i);
-  return {d.unreached, alpha * links_bought + static_cast<double>(d.sum)};
-}
-
-agent_cost profile_player_cost(const strategy_profile& s,
-                               const connection_game& game, int i) {
-  expects(s.players() == game.n, "profile_player_cost: size mismatch");
-  const graph g = s.realize(game.rule);
-  const distance_summary d = distance_sum(g, i);
-  return {d.unreached,
-          game.alpha * s.request_count(i) + static_cast<double>(d.sum)};
 }
 
 agent_cost total_distance_cost(const graph& g) {

@@ -12,8 +12,6 @@
 #pragma once
 
 #include <compare>
-#include <cstdint>
-#include <vector>
 
 #include "graph/graph.hpp"
 
@@ -25,36 +23,6 @@ enum class link_rule {
 };
 
 [[nodiscard]] const char* to_string(link_rule rule);
-
-/// A strategy profile: row i is the request mask s_i (bit j set iff player
-/// i seeks contact with player j). The diagonal must stay clear.
-class strategy_profile {
- public:
-  explicit strategy_profile(int n);
-
-  [[nodiscard]] int players() const noexcept { return n_; }
-  [[nodiscard]] bool requests(int i, int j) const;
-  void set_request(int i, int j, bool value);
-  [[nodiscard]] std::uint64_t request_mask(int i) const;
-  /// Number of requests by player i (the |s_i| of Eq. 1).
-  [[nodiscard]] int request_count(int i) const;
-
-  /// The realized network under the given linking rule (paper Sec. 2):
-  /// union of requests (UCG) or intersection (BCG).
-  [[nodiscard]] graph realize(link_rule rule) const;
-
-  /// The canonical supporting profile for a target graph: under BCG both
-  /// endpoints request every edge; under UCG the given owner orientation
-  /// requests each edge exactly once.
-  static strategy_profile supporting_bilateral(const graph& g);
-
-  friend bool operator==(const strategy_profile&,
-                         const strategy_profile&) = default;
-
- private:
-  int n_{0};
-  std::vector<std::uint64_t> rows_;
-};
 
 /// A player cost that is totally ordered even when the network is
 /// disconnected: infinite distance terms dominate any finite change, which
@@ -87,17 +55,6 @@ struct connection_game {
 /// Cost of player i in the BCG when graph g is realized with its canonical
 /// supporting profile (|s_i| = deg(i)):  alpha*deg(i) + sum_j d(i,j).
 [[nodiscard]] agent_cost bcg_player_cost(const graph& g, double alpha, int i);
-
-/// Cost of player i in the UCG given the number of links it bought.
-[[nodiscard]] agent_cost ucg_player_cost(const graph& g, double alpha, int i,
-                                         int links_bought);
-
-/// Eq. (1) evaluated literally on a profile: alpha*|s_i| + distances in the
-/// realized graph. This charges for unreciprocated BCG requests, exactly as
-/// the paper's cost function does.
-[[nodiscard]] agent_cost profile_player_cost(const strategy_profile& s,
-                                             const connection_game& game,
-                                             int i);
 
 /// Social cost C(G) (Eq. 4). Finite only for connected graphs.
 [[nodiscard]] agent_cost social_cost(const graph& g,

@@ -429,28 +429,11 @@ std::vector<std::uint64_t> all_graph_keys(int n,
   return keys;
 }
 
-void for_each_graph_key_chunk(
-    int n, const enumeration_options& options, std::size_t chunk_size,
-    const std::function<void(std::span<const std::uint64_t>)>& fn) {
-  expects(n >= 0 && n <= max_enumeration_order,
-          order_range_message("for_each_graph_key_chunk"));
-  expects(chunk_size >= 1, "for_each_graph_key_chunk: chunk_size >= 1");
-  const std::vector<std::uint64_t> keys = all_graph_keys(n, options);
-  for (std::size_t begin = 0; begin < keys.size(); begin += chunk_size) {
-    const std::size_t end = std::min(keys.size(), begin + chunk_size);
-    fn(std::span<const std::uint64_t>(keys.data() + begin, end - begin));
-  }
-}
-
 void for_each_graph(int n, const std::function<void(const graph&)>& fn,
                     const enumeration_options& options) {
-  for_each_graph_key_chunk(
-      n, options, std::size_t{1} << 16,
-      [&](std::span<const std::uint64_t> chunk) {
-        for (const std::uint64_t key : chunk) {
-          fn(graph::from_key64(n, key));
-        }
-      });
+  for (const std::uint64_t key : all_graph_keys(n, options)) {
+    fn(graph::from_key64(n, key));
+  }
 }
 
 std::vector<graph> all_graphs(int n, const enumeration_options& options) {

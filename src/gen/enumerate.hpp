@@ -152,15 +152,6 @@ void for_each_graph_key_shard(int n, std::size_t shard,
 [[nodiscard]] std::vector<std::uint64_t> all_graph_keys(
     int n, const enumeration_options& options = {});
 
-/// Stream the sorted canonical keys in bounded chunks: `fn` receives
-/// consecutive SORTED spans of at most `chunk_size` keys covering the
-/// whole level in increasing key order. Requires chunk_size >= 1. (Sorted
-/// order forces one materialized level; shard streaming avoids even
-/// that when order does not matter.)
-void for_each_graph_key_chunk(
-    int n, const enumeration_options& options, std::size_t chunk_size,
-    const std::function<void(std::span<const std::uint64_t>)>& fn);
-
 /// Invoke `fn` once per isomorphism class on n vertices (reconstructed
 /// from its canonical key), in sorted key order.
 void for_each_graph(int n, const std::function<void(const graph&)>& fn,

@@ -1,9 +1,7 @@
 #include "gen/random.hpp"
 
-#include <algorithm>
 #include <vector>
 
-#include "util/bitops.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -15,27 +13,6 @@ graph gnp(int n, double p, rng& random) {
     for (int v = u + 1; v < n; ++v) {
       if (random.bernoulli(p)) g.add_edge(u, v);
     }
-  }
-  return g;
-}
-
-graph gnm(int n, int m, rng& random) {
-  expects(n >= 0 && n <= max_vertices, "gnm: order out of range");
-  const long long all_pairs = static_cast<long long>(n) * (n - 1) / 2;
-  expects(m >= 0 && m <= all_pairs, "gnm: edge count out of range");
-
-  // Sample m distinct pair indices, then decode.
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(static_cast<std::size_t>(all_pairs));
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) pairs.emplace_back(u, v);
-  }
-  const auto chosen =
-      random.sample_without_replacement(static_cast<int>(all_pairs), m);
-  graph g(n);
-  for (const int index : chosen) {
-    const auto& [u, v] = pairs[static_cast<std::size_t>(index)];
-    g.add_edge(u, v);
   }
   return g;
 }
@@ -114,36 +91,6 @@ graph random_connected_gnm(int n, int m, rng& random) {
     --remaining;
   }
   return g;
-}
-
-graph random_regular(int n, int k, rng& random) {
-  expects(n >= 1 && n <= max_vertices, "random_regular: order out of range");
-  expects(k >= 0 && k < n && (n * k) % 2 == 0,
-          "random_regular: requires k < n and n*k even");
-  if (k == 0) return graph(n);
-
-  // Pairing (configuration) model with full restarts on collisions.
-  std::vector<int> stubs;
-  stubs.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
-  while (true) {
-    stubs.clear();
-    for (int v = 0; v < n; ++v) {
-      for (int copy = 0; copy < k; ++copy) stubs.push_back(v);
-    }
-    random.shuffle(std::span<int>(stubs));
-    graph g(n);
-    bool ok = true;
-    for (std::size_t i = 0; i + 1 < stubs.size() && ok; i += 2) {
-      const int u = stubs[i];
-      const int v = stubs[i + 1];
-      if (u == v || g.has_edge(u, v)) {
-        ok = false;
-      } else {
-        g.add_edge(u, v);
-      }
-    }
-    if (ok) return g;
-  }
 }
 
 }  // namespace bnf

@@ -1,6 +1,7 @@
-// Random graph models for the property tests, the dynamics samplers and
-// the Prop 5 tree experiments. All models draw from a bnf::rng, so seeded
-// runs are reproducible.
+// Random graph models. `gnp` draws the dynamics sampler's starting
+// networks; the tests draw their random fixtures from `random_tree`,
+// `random_connected_gnm` and `prufer_decode`. All models draw from a
+// bnf::rng, so seeded runs are reproducible.
 #pragma once
 
 #include "graph/graph.hpp"
@@ -11,9 +12,6 @@ namespace bnf {
 /// Erdős–Rényi G(n, p): each pair independently an edge with probability p.
 [[nodiscard]] graph gnp(int n, double p, rng& random);
 
-/// Uniform G(n, m): exactly m edges chosen uniformly among all C(n,2).
-[[nodiscard]] graph gnm(int n, int m, rng& random);
-
 /// Uniform random labeled tree on n vertices (Prüfer decoding). n >= 1.
 [[nodiscard]] graph random_tree(int n, rng& random);
 
@@ -22,10 +20,6 @@ namespace bnf {
 /// (Not uniform over all connected graphs; documented bias is fine for
 /// dynamics starting points.)
 [[nodiscard]] graph random_connected_gnm(int n, int m, rng& random);
-
-/// Random k-regular graph via the pairing model with restarts. Requires
-/// n*k even, k < n. May be slow for k close to n; intended for k <= 8.
-[[nodiscard]] graph random_regular(int n, int k, rng& random);
 
 /// Decode a Prüfer sequence (length n-2, entries in [0, n)) into a tree.
 [[nodiscard]] graph prufer_decode(int n, std::span<const int> sequence);

@@ -17,12 +17,6 @@ graph::graph(int n, std::initializer_list<std::pair<int, int>> edges)
   for (const auto& [u, v] : edges) add_edge(u, v);
 }
 
-graph graph::from_edges(int n, std::span<const std::pair<int, int>> edges) {
-  graph g(n);
-  for (const auto& [u, v] : edges) g.add_edge(u, v);
-  return g;
-}
-
 int graph::size() const noexcept {
   int twice = 0;
   for (const auto row : adj_) twice += popcount(row);
@@ -125,22 +119,6 @@ graph graph::permuted(std::span<const int> perm) const {
   return g;
 }
 
-graph graph::induced(std::uint64_t mask) const {
-  expects((mask & ~vertex_mask()) == 0,
-          "graph::induced: mask contains out-of-range vertices");
-  std::vector<int> keep;
-  for_each_bit(mask, [&](int v) { keep.push_back(v); });
-  graph g(static_cast<int>(keep.size()));
-  for (std::size_t a = 0; a < keep.size(); ++a) {
-    for (std::size_t b = a + 1; b < keep.size(); ++b) {
-      if (has_edge(keep[a], keep[b])) {
-        g.add_edge(static_cast<int>(a), static_cast<int>(b));
-      }
-    }
-  }
-  return g;
-}
-
 graph graph::with_vertex() const {
   expects(n_ < max_vertices, "graph::with_vertex: already at 64 vertices");
   graph g(n_ + 1);
@@ -188,52 +166,6 @@ graph graph::from_key64(int n, std::uint64_t key) {
       g.adj_[static_cast<std::size_t>(j)] |= bit(i);
     });
     offset += length;
-  }
-  return g;
-}
-
-std::string graph::to_graph6() const {
-  expects(n_ <= 62, "graph::to_graph6: requires order <= 62");
-  std::string out;
-  out.push_back(static_cast<char>(n_ + 63));
-  int bit_pos = 0;
-  char current = 0;
-  // Column-major upper triangle, 6 bits per printable character.
-  for (int j = 1; j < n_; ++j) {
-    for (int i = 0; i < j; ++i) {
-      current = static_cast<char>(current << 1);
-      if (has_edge(i, j)) current |= 1;
-      if (++bit_pos == 6) {
-        out.push_back(static_cast<char>(current + 63));
-        bit_pos = 0;
-        current = 0;
-      }
-    }
-  }
-  if (bit_pos > 0) {
-    current = static_cast<char>(current << (6 - bit_pos));
-    out.push_back(static_cast<char>(current + 63));
-  }
-  return out;
-}
-
-graph graph::from_graph6(const std::string& text) {
-  expects(!text.empty(), "graph::from_graph6: empty input");
-  const int n = text[0] - 63;
-  expects(n >= 0 && n <= 62, "graph::from_graph6: unsupported order");
-  graph g(n);
-  const int total_bits = n * (n - 1) / 2;
-  const int needed = (total_bits + 5) / 6;
-  expects(static_cast<int>(text.size()) == 1 + needed,
-          "graph::from_graph6: truncated or oversized input");
-  int bit_index = 0;
-  for (int j = 1; j < n; ++j) {
-    for (int i = 0; i < j; ++i, ++bit_index) {
-      const int chunk = text[static_cast<std::size_t>(1 + bit_index / 6)] - 63;
-      expects(chunk >= 0 && chunk < 64, "graph::from_graph6: bad character");
-      const int shift = 5 - (bit_index % 6);
-      if ((chunk >> shift) & 1) g.add_edge(i, j);
-    }
   }
   return g;
 }

@@ -34,7 +34,6 @@ class graph {
 
   /// Build from an explicit edge list. Requires valid distinct endpoints.
   graph(int n, std::initializer_list<std::pair<int, int>> edges);
-  static graph from_edges(int n, std::span<const std::pair<int, int>> edges);
 
   [[nodiscard]] int order() const noexcept { return n_; }
   [[nodiscard]] int size() const noexcept;  // number of edges
@@ -76,10 +75,6 @@ class graph {
   /// `perm` must be a permutation of 0..n-1.
   [[nodiscard]] graph permuted(std::span<const int> perm) const;
 
-  /// Subgraph induced by the vertex set `mask`, relabeled to 0..k-1 in
-  /// increasing original order.
-  [[nodiscard]] graph induced(std::uint64_t mask) const;
-
   /// Copy with one extra isolated vertex appended (new index = n).
   [[nodiscard]] graph with_vertex() const;
 
@@ -95,11 +90,6 @@ class graph {
   [[nodiscard]] std::uint64_t key64() const;
   /// Inverse of key64 for a given order.
   static graph from_key64(int n, std::uint64_t key);
-
-  /// graph6 encoding (printable ASCII; n <= 62), for interop with nauty
-  /// tooling and compact fixtures.
-  [[nodiscard]] std::string to_graph6() const;
-  static graph from_graph6(const std::string& text);
 
   friend bool operator==(const graph& a, const graph& b) = default;
 

@@ -79,25 +79,6 @@ distance_summary distance_sum_with_row(const graph& g, int src,
   return summary;
 }
 
-distance_matrix::distance_matrix(const graph& g) : n_(g.order()) {
-  cells_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
-                static_cast<std::int8_t>(unreachable_distance));
-  std::array<std::int8_t, max_vertices> row{};
-  for (int src = 0; src < n_; ++src) {
-    const distance_summary summary = bfs_distances(g, src, row);
-    if (summary.unreached > 0) connected_ = false;
-    total_ += summary.sum;
-    std::copy_n(row.begin(), n_,
-                cells_.begin() + static_cast<std::size_t>(src) * n_);
-  }
-}
-
-int distance_matrix::at(int u, int v) const {
-  expects(u >= 0 && u < n_ && v >= 0 && v < n_,
-          "distance_matrix::at: index out of range");
-  return cells_[static_cast<std::size_t>(u) * n_ + static_cast<std::size_t>(v)];
-}
-
 total_distance_result total_distance(const graph& g) {
   total_distance_result result;
   for (int v = 0; v < g.order(); ++v) {
@@ -162,15 +143,6 @@ int diameter(const graph& g) {
   return best;
 }
 
-int radius(const graph& g) {
-  expects(g.order() >= 1, "radius: empty graph");
-  int best = unreachable_distance;
-  for (int v = 0; v < g.order(); ++v) {
-    best = std::min(best, eccentricity(g, v));
-  }
-  return best;
-}
-
 int girth(const graph& g) {
   // For each edge (u,v): the shortest cycle through that edge has length
   // 1 + d(u,v) in G - (u,v). Exact and O(m) BFS calls — fine at n <= 64.
@@ -192,12 +164,6 @@ int girth(const graph& g) {
 
 bool is_tree(const graph& g) {
   return g.order() >= 1 && g.size() == g.order() - 1 && is_connected(g);
-}
-
-bool is_bridge(const graph& g, int u, int v) {
-  expects(g.has_edge(u, v), "is_bridge: (u,v) is not an edge");
-  const graph cut = g.without_edge(u, v);
-  return !has_bit(reachable_set(cut, u), v);
 }
 
 }  // namespace bnf

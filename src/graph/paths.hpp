@@ -11,8 +11,8 @@
 
 namespace bnf {
 
-/// Distance used to mark unreachable pairs in dense matrices. Any finite
-/// distance on <= 64 vertices is < 64, so 127 is safely out of band.
+/// Distance used to mark unreachable vertices in BFS distance arrays. Any
+/// finite distance on <= 64 vertices is < 64, so 127 is safely out of band.
 inline constexpr int unreachable_distance = 127;
 
 /// Aggregate of single-source BFS: sum over *reached* vertices (excluding
@@ -45,25 +45,6 @@ distance_summary bfs_distances(const graph& g, int src,
 [[nodiscard]] distance_summary distance_sum_with_row(const graph& g, int src,
                                                      std::uint64_t row_src);
 
-/// Dense all-pairs distance matrix (BFS from every source).
-class distance_matrix {
- public:
-  explicit distance_matrix(const graph& g);
-
-  [[nodiscard]] int order() const noexcept { return n_; }
-  /// Distance in hops, or unreachable_distance.
-  [[nodiscard]] int at(int u, int v) const;
-  /// Sum over ordered pairs of finite distances; meaningful iff connected.
-  [[nodiscard]] long long total() const noexcept { return total_; }
-  [[nodiscard]] bool connected() const noexcept { return connected_; }
-
- private:
-  int n_{0};
-  bool connected_{true};
-  long long total_{0};
-  std::vector<std::int8_t> cells_;
-};
-
 /// Sum of d(i,j) over all ordered pairs; second member false if the graph
 /// is disconnected (in which case the paper's total is infinite).
 struct total_distance_result {
@@ -88,16 +69,10 @@ struct total_distance_result {
 /// Requires order >= 1. The diameter of K1 is 0.
 [[nodiscard]] int diameter(const graph& g);
 
-/// Radius (min eccentricity); unreachable_distance if disconnected.
-[[nodiscard]] int radius(const graph& g);
-
 /// Girth: length of the shortest cycle, or 0 if the graph is acyclic.
 [[nodiscard]] int girth(const graph& g);
 
 /// True iff connected and acyclic (n >= 1, m = n-1).
 [[nodiscard]] bool is_tree(const graph& g);
-
-/// True iff edge (u,v) is a bridge (its removal disconnects u from v).
-[[nodiscard]] bool is_bridge(const graph& g, int u, int v);
 
 }  // namespace bnf

@@ -5,7 +5,6 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
 #define BNF_HAVE_RUSAGE 1
 #endif
 
@@ -37,23 +36,6 @@ std::uint64_t proc_status_kb(const char* field) {
 #endif
 
 }  // namespace
-
-std::uint64_t current_rss_bytes() {
-#if defined(__linux__)
-  std::FILE* statm = std::fopen("/proc/self/statm", "r");
-  if (statm == nullptr) return 0;
-  unsigned long long total_pages = 0;
-  unsigned long long resident_pages = 0;
-  const int fields = std::fscanf(statm, "%llu %llu", &total_pages,
-                                 &resident_pages);
-  std::fclose(statm);
-  if (fields != 2) return 0;
-  const long page = sysconf(_SC_PAGESIZE);
-  return resident_pages * static_cast<std::uint64_t>(page > 0 ? page : 4096);
-#else
-  return 0;
-#endif
-}
 
 std::uint64_t peak_rss_bytes() {
 #if defined(BNF_HAVE_RUSAGE)

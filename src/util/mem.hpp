@@ -1,16 +1,12 @@
-// Process memory probes for telemetry and bench reporting. Both probes are
-// read-only queries of OS bookkeeping (no allocation on the query path), so
-// the progress heartbeat can poll them from a monitor thread without
+// Process memory probe for telemetry and bench reporting. The probe is a
+// read-only query of OS bookkeeping (no allocation on the query path), so
+// the progress heartbeat can poll it from a monitor thread without
 // perturbing the run it is observing.
 #pragma once
 
 #include <cstdint>
 
 namespace bnf {
-
-/// Resident set size of the calling process right now, in bytes. Linux
-/// reads /proc/self/statm; other platforms (or a failed read) return 0.
-[[nodiscard]] std::uint64_t current_rss_bytes();
 
 /// High-water-mark resident set size of the process, in bytes: the peak RSS
 /// the OS has observed since process start. Monotone non-decreasing across

@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
-
 #include "util/bitops.hpp"
 #include "util/contracts.hpp"
 
@@ -55,13 +53,6 @@ std::uint64_t rng::below(std::uint64_t bound) {
   }
 }
 
-std::int64_t rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  expects(lo <= hi, "rng::uniform_int: requires lo <= hi");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(next());  // full range
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 double rng::uniform_real() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
@@ -70,24 +61,6 @@ bool rng::bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return uniform_real() < p;
-}
-
-std::vector<int> rng::sample_without_replacement(int n, int k) {
-  expects(n >= 0 && k >= 0 && k <= n,
-          "rng::sample_without_replacement: requires 0 <= k <= n");
-  // Floyd's algorithm: O(k) expected insertions.
-  std::vector<int> chosen;
-  chosen.reserve(static_cast<std::size_t>(k));
-  for (int j = n - k; j < n; ++j) {
-    const int t = static_cast<int>(below(static_cast<std::uint64_t>(j) + 1));
-    if (std::find(chosen.begin(), chosen.end(), t) == chosen.end()) {
-      chosen.push_back(t);
-    } else {
-      chosen.push_back(j);
-    }
-  }
-  std::sort(chosen.begin(), chosen.end());
-  return chosen;
 }
 
 }  // namespace bnf

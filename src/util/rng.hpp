@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace bnf {
 
@@ -29,9 +28,6 @@ class rng {
   /// Uniform integer in [0, bound). Requires bound > 0.
   std::uint64_t below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform_real();
 
@@ -47,9 +43,6 @@ class rng {
       swap(values[i - 1], values[j]);
     }
   }
-
-  /// A uniformly random k-subset of {0,...,n-1}, as a sorted vector.
-  std::vector<int> sample_without_replacement(int n, int k);
 
  private:
   std::uint64_t state_[4]{};

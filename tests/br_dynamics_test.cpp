@@ -25,16 +25,6 @@ TEST(BrDynamicsTest, StateRealizeUnionOfBoughtSets) {
   EXPECT_EQ(g.size(), 3);
 }
 
-TEST(BrDynamicsTest, FiniteCostCountsOwnLinksOnly) {
-  ucg_state state(3);
-  state.bought[0] = bit(1);
-  state.bought[1] = bit(2);
-  // Player 0: 1 link * alpha + distances 1 + 2.
-  EXPECT_DOUBLE_EQ(state.finite_cost(2.0, 0), 2.0 + 3.0);
-  // Player 2 bought nothing: distances 2 + 1.
-  EXPECT_DOUBLE_EQ(state.finite_cost(2.0, 2), 3.0);
-}
-
 TEST(BrDynamicsTest, ConvergesFromEmptyState) {
   rng random = testing::seeded_rng();
   const auto result = run_br_dynamics(empty_ucg_state(6), 1.5, random);
@@ -109,7 +99,6 @@ TEST(BrDynamicsTest, Preconditions) {
   EXPECT_THROW((void)run_br_dynamics(empty_ucg_state(4), 0.0, random),
                precondition_error);
   EXPECT_THROW((void)ucg_state(0), precondition_error);
-  EXPECT_THROW((void)empty_ucg_state(5).finite_cost(1.0, 9), precondition_error);
 }
 
 }  // namespace

@@ -112,17 +112,6 @@ TEST(GraphTest, PermutedRejectsNonPermutation) {
   EXPECT_THROW((void)g.permuted(short_perm), precondition_error);
 }
 
-TEST(GraphTest, InducedSubgraph) {
-  const graph g = cycle(5);
-  // Vertices {0,1,2} of C5 induce the path 0-1-2.
-  const graph h = g.induced(0b00111ULL);
-  EXPECT_EQ(h.order(), 3);
-  EXPECT_EQ(h.size(), 2);
-  EXPECT_TRUE(h.has_edge(0, 1));
-  EXPECT_TRUE(h.has_edge(1, 2));
-  EXPECT_FALSE(h.has_edge(0, 2));
-}
-
 TEST(GraphTest, WithVertexAppendsIsolated) {
   const graph g = complete(3);
   const graph h = g.with_vertex();
@@ -174,24 +163,6 @@ TEST(GraphTest, Key64MatchesNaivePackingOnEveryLabeledGraph) {
       ASSERT_EQ(graph::from_key64(n, key), g) << to_string(g);
     }
   }
-}
-
-TEST(GraphTest, Graph6RoundTripSmall) {
-  for (const graph& g :
-       {path(1), path(2), complete(5), cycle(7), petersen(), star(11)}) {
-    EXPECT_EQ(graph::from_graph6(g.to_graph6()), g) << to_string(g);
-  }
-}
-
-TEST(GraphTest, Graph6KnownEncodings) {
-  // K3 is "Bw" in graph6.
-  EXPECT_EQ(complete(3).to_graph6(), "Bw");
-  EXPECT_EQ(graph::from_graph6("Bw"), complete(3));
-}
-
-TEST(GraphTest, Graph6RejectsMalformed) {
-  EXPECT_THROW((void)graph::from_graph6(""), precondition_error);
-  EXPECT_THROW((void)graph::from_graph6("B"), precondition_error);  // truncated K3
 }
 
 TEST(GraphTest, ToStringMentionsEdges) {

@@ -1,8 +1,11 @@
-#include "dynamics/intermediary.hpp"
+// The intermediary policies of run_pairwise_dynamics: each picks which
+// improving move runs, and all of them absorb at pairwise stable networks.
+#include "dynamics/pairwise_dynamics.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "equilibria/pairwise_stability.hpp"
 #include "game/efficiency.hpp"
@@ -15,6 +18,14 @@
 
 namespace bnf {
 namespace {
+
+// Social cost of a BCG network; infinite when it is disconnected.
+double bcg_social_cost(const graph& g, double alpha) {
+  const agent_cost cost =
+      social_cost(g, {g.order(), alpha, link_rule::bilateral});
+  return cost.is_finite() ? cost.finite
+                          : std::numeric_limits<double>::infinity();
+}
 
 TEST(IntermediaryTest, PolicyNames) {
   EXPECT_STREQ(to_string(intermediary_policy::random_move), "random");
@@ -33,10 +44,10 @@ TEST(IntermediaryTest, AbsorbsAtPairwiseStableNetworks) {
         intermediary_policy::prefer_additions,
         intermediary_policy::prefer_severances}) {
     const auto result =
-        run_intermediary_dynamics(graph(7), 2.5, policy, random);
+        run_pairwise_dynamics(graph(7), 2.5, random, {.policy = policy});
     ASSERT_TRUE(result.converged) << to_string(policy);
     EXPECT_TRUE(is_pairwise_stable(result.final, 2.5)) << to_string(policy);
-    EXPECT_TRUE(std::isfinite(result.social_cost));
+    EXPECT_TRUE(std::isfinite(bcg_social_cost(result.final, 2.5)));
   }
 }
 
@@ -50,13 +61,13 @@ TEST(IntermediaryTest, GreedyNeverWorseThanRandomOnAverage) {
   for (int seed = 0; seed < seeds; ++seed) {
     rng r1(static_cast<std::uint64_t>(seed));
     rng r2(static_cast<std::uint64_t>(seed));
-    const auto greedy = run_intermediary_dynamics(
-        graph(8), 3.0, intermediary_policy::greedy_social, r1);
-    const auto uncontrolled = run_intermediary_dynamics(
-        graph(8), 3.0, intermediary_policy::random_move, r2);
+    const auto greedy = run_pairwise_dynamics(
+        graph(8), 3.0, r1, {.policy = intermediary_policy::greedy_social});
+    const auto uncontrolled = run_pairwise_dynamics(
+        graph(8), 3.0, r2, {.policy = intermediary_policy::random_move});
     ASSERT_TRUE(greedy.converged && uncontrolled.converged);
-    greedy_total += greedy.social_cost;
-    random_total += uncontrolled.social_cost;
+    greedy_total += bcg_social_cost(greedy.final, 3.0);
+    random_total += bcg_social_cost(uncontrolled.final, 3.0);
   }
   EXPECT_LE(greedy_total, random_total + 1e-6);
 }
@@ -66,18 +77,20 @@ TEST(IntermediaryTest, GreedyReachesTheOptimumFromEmpty) {
   // intermediary builds the star (the efficient graph) — PoS = 1 achieved
   // by steering alone.
   rng random = testing::seeded_rng();
-  const auto result = run_intermediary_dynamics(
-      graph(8), 2.5, intermediary_policy::greedy_social, random);
+  const auto result = run_pairwise_dynamics(
+      graph(8), 2.5, random, {.policy = intermediary_policy::greedy_social});
   ASSERT_TRUE(result.converged);
   const connection_game game{8, 2.5, link_rule::bilateral};
-  EXPECT_NEAR(result.social_cost, optimal_social_cost(game), 1e-9);
+  EXPECT_NEAR(bcg_social_cost(result.final, 2.5), optimal_social_cost(game),
+              1e-9);
   EXPECT_TRUE(are_isomorphic(result.final, star(8)));
 }
 
 TEST(IntermediaryTest, SeverancesFirstPrunesDenseStarts) {
   rng random = testing::seeded_rng();
-  const auto result = run_intermediary_dynamics(
-      complete(7), 3.0, intermediary_policy::prefer_severances, random);
+  const auto result =
+      run_pairwise_dynamics(complete(7), 3.0, random,
+                            {.policy = intermediary_policy::prefer_severances});
   ASSERT_TRUE(result.converged);
   EXPECT_LT(result.final.size(), complete(7).size());
   EXPECT_TRUE(is_pairwise_stable(result.final, 3.0));
@@ -85,17 +98,17 @@ TEST(IntermediaryTest, SeverancesFirstPrunesDenseStarts) {
 
 TEST(IntermediaryTest, StepCapRespected) {
   rng random = testing::seeded_rng();
-  const auto result = run_intermediary_dynamics(
-      graph(8), 0.5, intermediary_policy::random_move, random,
-      {.max_steps = 2});
+  const auto result = run_pairwise_dynamics(
+      graph(8), 0.5, random,
+      {.max_steps = 2, .policy = intermediary_policy::random_move});
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.steps, 2);
 }
 
 TEST(IntermediaryTest, StableStartIsFixedPoint) {
   rng random = testing::seeded_rng();
-  const auto result = run_intermediary_dynamics(
-      petersen(), 3.0, intermediary_policy::greedy_social, random);
+  const auto result = run_pairwise_dynamics(
+      petersen(), 3.0, random, {.policy = intermediary_policy::greedy_social});
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.steps, 0);
   EXPECT_EQ(result.final, petersen());
@@ -103,9 +116,10 @@ TEST(IntermediaryTest, StableStartIsFixedPoint) {
 
 TEST(IntermediaryTest, RequiresPositiveAlpha) {
   rng random = testing::seeded_rng();
-  EXPECT_THROW((void)run_intermediary_dynamics(
-                   graph(5), 0.0, intermediary_policy::random_move, random),
-               precondition_error);
+  EXPECT_THROW(
+      (void)run_pairwise_dynamics(
+          graph(5), 0.0, random, {.policy = intermediary_policy::random_move}),
+      precondition_error);
 }
 
 }  // namespace

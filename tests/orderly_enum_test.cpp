@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
-#include <span>
 #include <vector>
 
 #include "analysis/topology_profile.hpp"
@@ -272,20 +271,6 @@ TEST(OrderlyEnumTest, ForestCountsMatchOeisA005195) {
             << to_string(g);
       },
       {.connected_only = false, .forests_only = true});
-}
-
-TEST(OrderlyEnumTest, ChunkStreamMatchesMaterializedKeys) {
-  const auto keys = all_graph_keys(7, {.connected_only = false});
-  std::vector<std::uint64_t> streamed;
-  for_each_graph_key_chunk(7, {.connected_only = false}, 100,
-                           [&](std::span<const std::uint64_t> chunk) {
-                             EXPECT_LE(chunk.size(), 100U);
-                             EXPECT_TRUE(std::is_sorted(chunk.begin(),
-                                                        chunk.end()));
-                             streamed.insert(streamed.end(), chunk.begin(),
-                                             chunk.end());
-                           });
-  EXPECT_EQ(streamed, keys);
 }
 
 }  // namespace

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <set>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -34,18 +32,6 @@ TEST(RngTest, BelowStaysInRange) {
 TEST(RngTest, BelowRejectsZero) {
   rng random(7);
   EXPECT_THROW((void)random.below(0), precondition_error);
-}
-
-TEST(RngTest, UniformIntInclusiveRange) {
-  rng random(9);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 2000; ++i) {
-    const auto value = random.uniform_int(-3, 3);
-    EXPECT_GE(value, -3);
-    EXPECT_LE(value, 3);
-    seen.insert(value);
-  }
-  EXPECT_EQ(seen.size(), 7U);  // all 7 values hit
 }
 
 TEST(RngTest, UniformRealInUnitInterval) {
@@ -80,43 +66,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   auto sorted = shuffled;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, values);
-}
-
-TEST(RngTest, SampleWithoutReplacementProperties) {
-  rng random(19);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto sample = random.sample_without_replacement(10, 4);
-    ASSERT_EQ(sample.size(), 4U);
-    EXPECT_TRUE(std::is_sorted(sample.begin(), sample.end()));
-    EXPECT_EQ(std::adjacent_find(sample.begin(), sample.end()), sample.end());
-    for (const int value : sample) {
-      EXPECT_GE(value, 0);
-      EXPECT_LT(value, 10);
-    }
-  }
-}
-
-TEST(RngTest, SampleEdgeCases) {
-  rng random(23);
-  EXPECT_TRUE(random.sample_without_replacement(5, 0).empty());
-  const auto full = random.sample_without_replacement(5, 5);
-  EXPECT_EQ(full, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_THROW((void)random.sample_without_replacement(3, 4), precondition_error);
-}
-
-TEST(RngTest, SampleIsRoughlyUniform) {
-  rng random(29);
-  std::array<int, 6> histogram{};
-  constexpr int trials = 12000;
-  for (int i = 0; i < trials; ++i) {
-    for (const int v : random.sample_without_replacement(6, 2)) {
-      ++histogram[static_cast<std::size_t>(v)];
-    }
-  }
-  // Each element appears in a 2-subset with probability 1/3.
-  for (const int count : histogram) {
-    EXPECT_NEAR(static_cast<double>(count) / trials, 1.0 / 3.0, 0.03);
-  }
 }
 
 }  // namespace

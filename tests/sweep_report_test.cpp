@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "engine/sink.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -66,6 +67,15 @@ census_point sample_point() {
   return point;
 }
 
+// Writes `table` to `path` the way `bilatnet run --csv` does: through a
+// csv_sink, which opens the file on construction and flushes at end_run.
+void write_csv(const text_table& table, const std::string& path) {
+  csv_sink sink(path);
+  sink.begin_run({});
+  sink.write_table("figure2", table);
+  sink.end_run({});
+}
+
 TEST(ReportTest, Figure2TableShape) {
   const std::array<census_point, 1> points{sample_point()};
   const text_table table = figure2_table(points);
@@ -110,7 +120,7 @@ TEST(ReportTest, CsvRoundTripThroughFile) {
   const std::array<census_point, 2> points{sample_point(), sample_point()};
   const text_table table = figure2_table(points);
   const std::string path = "/tmp/bnf_report_test.csv";
-  write_csv_file(table, path);
+  write_csv(table, path);
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::string header;
@@ -127,14 +137,14 @@ TEST(ReportTest, CsvRoundTripThroughFile) {
 
 TEST(ReportTest, CsvWriteFailureThrows) {
   const std::array<census_point, 1> points{sample_point()};
-  EXPECT_THROW((void)write_csv_file(figure2_table(points), "/nonexistent/x.csv"),
+  EXPECT_THROW(write_csv(figure2_table(points), "/nonexistent/x.csv"),
                precondition_error);
 }
 
 TEST(ReportTest, CsvWriteFailureSurfacesErrnoText) {
   const std::array<census_point, 1> points{sample_point()};
   try {
-    write_csv_file(figure2_table(points), "/nonexistent/x.csv");
+    write_csv(figure2_table(points), "/nonexistent/x.csv");
     FAIL() << "expected precondition_error";
   } catch (const precondition_error& error) {
     const std::string message = error.what();
