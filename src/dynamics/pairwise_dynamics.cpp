@@ -1,7 +1,5 @@
 #include "dynamics/pairwise_dynamics.hpp"
 
-#include <limits>
-
 #include "game/connection_game.hpp"
 #include "graph/paths.hpp"
 #include "util/contracts.hpp"
@@ -40,15 +38,14 @@ void apply_move(graph& g, const pairwise_move& move) {
   }
 }
 
-double social_cost_after(const graph& g, const pairwise_move& move,
-                         const connection_game& game) {
+// Social cost of g after `move`, in the lexicographic (unreachable,
+// finite) order: a disconnected outcome ranks behind every connected one,
+// and among disconnected outcomes fewer cut-off pairs rank first.
+agent_cost social_cost_after(const graph& g, const pairwise_move& move,
+                             const connection_game& game) {
   graph changed = g;
   apply_move(changed, move);
-  const agent_cost cost = social_cost(changed, game);
-  // Disconnected outcomes rank behind every connected one.
-  return cost.is_finite() ? cost.finite
-                          : std::numeric_limits<double>::max() / 2 +
-                                cost.unreachable;
+  return social_cost(changed, game);
 }
 
 // Index of the move `policy` runs. random_move, and a preference policy
@@ -63,9 +60,9 @@ std::size_t select_move(const std::vector<pairwise_move>& moves,
     case intermediary_policy::greedy_social: {
       const connection_game game{g.order(), alpha, link_rule::bilateral};
       std::size_t best = 0;
-      double best_cost = std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < moves.size(); ++i) {
-        const double cost = social_cost_after(g, moves[i], game);
+      agent_cost best_cost = social_cost_after(g, moves[0], game);
+      for (std::size_t i = 1; i < moves.size(); ++i) {
+        const agent_cost cost = social_cost_after(g, moves[i], game);
         if (cost < best_cost) {
           best_cost = cost;
           best = i;

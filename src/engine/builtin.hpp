@@ -1,12 +1,11 @@
-// Built-in scenarios: the paper's figure sweeps and worked examples,
-// migrated from standalone bench/example mains into registry entries.
+// Built-in scenarios: the paper's figure sweeps, its claims, the Section 6
+// ablations and the worked examples, each a registry entry.
 #pragma once
 
 namespace bnf {
 
-/// Register fig2, fig3, price-of-stability, sampler-validation and
-/// quickstart into scenario_registry::global(). Idempotent — safe to call
-/// from every entry point (CLI, bench shims, tests).
+/// Register every built-in scenario into scenario_registry::global().
+/// Idempotent — safe to call from every entry point (CLI, tests).
 void register_builtin_scenarios();
 
 }  // namespace bnf

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "engine/builtin.hpp"
 #include "engine/sink.hpp"
 #include "engine/version.hpp"
 #include "obs/ledger.hpp"

@@ -1,7 +1,7 @@
 // Scenario registry and the engine driver. The registry maps names to
 // scenario instances; run_scenario_main is the single entry point shared by
-// the `bilatnet run` subcommand, the legacy bench shims, and the tests — so
-// every path through an experiment executes identical code.
+// the `bilatnet run` subcommand and the tests — so every path through an
+// experiment executes identical code.
 #pragma once
 
 #include <iostream>
@@ -33,11 +33,6 @@ class scenario_registry {
  private:
   std::map<std::string, std::unique_ptr<scenario>> entries_;
 };
-
-/// Register every built-in scenario (fig2, fig3, poa-curve,
-/// price-of-stability, paper-claims, sampler-validation, quickstart) into
-/// the global registry. Idempotent.
-void register_builtin_scenarios();
 
 /// Usage text for one scenario: its flags plus the engine's common flags,
 /// exactly what `run <name> --help` prints.

@@ -1,4 +1,4 @@
-// Minimal command-line flag parser for the bench harnesses and examples.
+// Minimal command-line flag parser for the `bilatnet run` scenarios.
 // Flags are "--name value" or "--name=value"; bool flags may omit the value.
 #pragma once
 

@@ -149,9 +149,9 @@ TEST(AnalyzeJsonReport, ParsesAndIsByteIdenticalAcrossRuns) {
   EXPECT_GT(v.at("line").as_int(), 0);
 }
 
-// The real tree (src/, tools/, bench/, examples/ by default) is clean
-// under the checked-in layers.txt — and deterministically so.
-TEST(AnalyzeRealTree, SrcToolsBenchAndExamplesAreClean) {
+// The real tree (src/, tools/ and bench/ by default) is clean under the
+// checked-in layers.txt — and deterministically so.
+TEST(AnalyzeRealTree, SrcToolsAndBenchAreClean) {
   const std::string root = BILATNET_REPO_ROOT;
   const std::string json_a = ::testing::TempDir() + "analyze_real_a.json";
   const std::string json_b = ::testing::TempDir() + "analyze_real_b.json";

@@ -101,5 +101,12 @@ TEST(BrDynamicsTest, Preconditions) {
   EXPECT_THROW((void)ucg_state(0), precondition_error);
 }
 
+// The overlay scenario runs both games' dynamics at one total edge cost:
+// the UCG's best-response dynamics and sampler against the BCG's.
+TEST(BrDynamicsTest, OverlayScenarioMatchesTheGolden) {
+  testing::expect_matches_golden(
+      {"overlay", {"--seed", "1"}, "overlay_seed1.csv"});
+}
+
 }  // namespace
 }  // namespace bnf

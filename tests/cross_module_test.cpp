@@ -9,7 +9,6 @@
 
 #include "analysis/census.hpp"
 #include "analysis/optimum.hpp"
-#include "analysis/welfare.hpp"
 #include "dynamics/pairwise_dynamics.hpp"
 #include "dynamics/sampler.hpp"
 #include "equilibria/pairwise_stability.hpp"
@@ -88,25 +87,6 @@ TEST(CrossModuleTest, CensusAveragesMatchManualAggregation) {
   ASSERT_EQ(points[0].bcg.count, count);
   EXPECT_NEAR(points[0].bcg.avg_poa, poa_sum / count, 1e-12);
   EXPECT_NEAR(points[0].bcg.avg_edges, edges_sum / count, 1e-12);
-}
-
-TEST(CrossModuleTest, WelfareTotalsMatchCensusSocialCosts) {
-  // Welfare profile totals, social_cost and PoA * optimum must agree for
-  // every stable graph at a probe cost.
-  const int n = 6;
-  const double alpha = 2.6;
-  const connection_game game{n, alpha, link_rule::bilateral};
-  const double optimum = optimal_social_cost(game);
-  for_each_graph(
-      n,
-      [&](const graph& g) {
-        if (!is_pairwise_stable(g, alpha)) return;
-        const auto summary = bcg_welfare(g, alpha);
-        EXPECT_NEAR(summary.total, social_cost(g, game).finite, 1e-9);
-        EXPECT_NEAR(summary.total / optimum, price_of_anarchy(g, game),
-                    1e-12);
-      },
-      {.connected_only = true});
 }
 
 TEST(CrossModuleTest, TransferStableSetAlsoContainsTheOptimum) {

@@ -78,12 +78,31 @@ TEST(RegistryTest, BuiltinsCoverTheMigratedWorkloads) {
   register_builtin_scenarios();
   auto& registry = scenario_registry::global();
   EXPECT_GE(registry.size(), 5U);
-  for (const char* name : {"fig2", "fig3", "price-of-stability",
-                           "sampler-validation", "quickstart"}) {
+  for (const char* name :
+       {"fig2", "fig3", "price-of-stability", "sampler-validation",
+        "quickstart", "transfers-ablation", "intermediary-policies",
+        "overlay"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
   register_builtin_scenarios();  // idempotent
   EXPECT_GE(registry.size(), 5U);
+}
+
+// An unknown flag ends every scenario in a clean exit 1 with the scenario
+// named on stderr, never an abort.
+TEST(EngineTest, EveryScenarioRejectsAnUnknownFlag) {
+  register_builtin_scenarios();
+  const std::array argv{"prog", "--no-such-flag"};
+  for (const scenario* entry : scenario_registry::global().list()) {
+    std::ostringstream out;
+    ::testing::internal::CaptureStderr();
+    const int code = run_scenario_main(
+        entry->name(), static_cast<int>(argv.size()), argv.data(), out);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 1) << entry->name();
+    EXPECT_NE(err.find("bilatnet: " + entry->name() + ":"), std::string::npos)
+        << err;
+  }
 }
 
 TEST(RegistryTest, UnknownScenarioNameReturnsTwo) {

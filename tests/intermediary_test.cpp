@@ -122,5 +122,30 @@ TEST(IntermediaryTest, RequiresPositiveAlpha) {
       precondition_error);
 }
 
+TEST(IntermediaryTest, GreedyRanksDisconnectedOutcomesByPairsCutOff) {
+  // Path 3-4-5 plus isolated 0, 1 and 2: every improving move leaves the
+  // network disconnected. Joining 0 to the path's centre leaves 9 pairs
+  // cut off; pairing 0 with 1 leaves 11, so greedy-social must not take
+  // the first move listed, (0,1).
+  const graph start(6, {{3, 4}, {4, 5}});
+  rng random = testing::seeded_rng();
+  const auto result = run_pairwise_dynamics(
+      start, 1.5, random,
+      {.max_steps = 1,
+       .keep_trace = true,
+       .policy = intermediary_policy::greedy_social});
+  ASSERT_EQ(result.trace.size(), 1U);
+  EXPECT_EQ(result.trace[0].type, pairwise_move::kind::add);
+  EXPECT_EQ(result.trace[0].u, 0);
+  EXPECT_EQ(result.trace[0].v, 4);
+}
+
+// The intermediary-policies scenario (Section 6): mean PoA per policy and
+// link cost over 40 runs each at n = 7.
+TEST(IntermediaryTest, PoliciesScenarioMatchesTheGolden) {
+  testing::expect_matches_golden(
+      {"intermediary-policies", {"--n", "7"}, "intermediary_policies_n7.csv"});
+}
+
 }  // namespace
 }  // namespace bnf

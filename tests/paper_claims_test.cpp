@@ -5,47 +5,23 @@
 // and Footnote 6's cost identity, a randomized check with no row.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdio>
-#include <sstream>
-#include <string>
-
-#include "engine/registry.hpp"
 #include "equilibria/pairwise_stability.hpp"
 #include "equilibria/ucg_nash.hpp"
 #include "game/efficiency.hpp"
 #include "gen/random.hpp"
 #include "graph/paths.hpp"
 #include "testing.hpp"
-#include "util/file_io.hpp"
 #include "util/rng.hpp"
 
 namespace bnf {
 namespace {
 
-const std::string kGolden =
-    std::string(BILATNET_TEST_DATA) + "/paper_claims_n7.csv";
-
-std::string run_paper_claims(const char* threads) {
-  const std::string path =
-      ::testing::TempDir() + "paper_claims_t" + threads + ".csv";
-  const std::array argv{"prog", "--n", "7", "--threads", threads, "--csv",
-                        path.c_str()};
-  std::ostringstream out;
-  EXPECT_EQ(run_scenario_main("paper-claims", static_cast<int>(argv.size()),
-                              argv.data(), out),
-            0);
-  std::string csv = read_file(path, "paper_claims_test");
-  std::remove(path.c_str());
-  return csv;
-}
-
 TEST(PaperClaimsTest, VerdictRowsMatchTheGoldenAtAnyThreadCount) {
-  register_builtin_scenarios();
-  const std::string golden = read_file(kGolden, "paper_claims_test");
-  ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(run_paper_claims("1"), golden);
-  EXPECT_EQ(run_paper_claims("4"), golden);
+  for (const char* threads : {"1", "4"}) {
+    testing::expect_matches_golden(
+        {"paper-claims", {"--n", "7", "--threads", threads},
+         "paper_claims_n7.csv"});
+  }
 }
 
 TEST(PaperClaimsTest, ConjectureCounterexampleAtSixPlayers) {

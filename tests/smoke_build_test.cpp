@@ -1,15 +1,39 @@
-// Umbrella-header smoke test: pulls in every public header via src/bnf.hpp
-// and exercises one object or entry point per subsystem. If a header
-// referenced by the umbrella is deleted or renamed, this named test fails
-// instead of some arbitrary TU downstream.
-#include "bnf.hpp"
-
+// Build smoke test: exercises one object or entry point per subsystem
+// through its module header. If one of those headers is deleted or
+// renamed, this named test fails instead of some arbitrary TU downstream.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <sstream>
 
+#include "analysis/census.hpp"
+#include "analysis/report.hpp"
+#include "analysis/sweep.hpp"
+#include "dynamics/br_dynamics.hpp"
+#include "dynamics/pairwise_dynamics.hpp"
+#include "dynamics/sampler.hpp"
+#include "equilibria/convexity.hpp"
+#include "equilibria/link_convexity.hpp"
+#include "equilibria/pairwise_nash.hpp"
+#include "equilibria/pairwise_stability.hpp"
+#include "equilibria/proper.hpp"
+#include "equilibria/transfers.hpp"
+#include "equilibria/ucg_nash.hpp"
+#include "game/connection_game.hpp"
+#include "game/efficiency.hpp"
+#include "gen/enumerate.hpp"
+#include "gen/named.hpp"
+#include "gen/random.hpp"
+#include "graph/canonical.hpp"
+#include "graph/metrics.hpp"
+#include "graph/paths.hpp"
 #include "testing.hpp"
+#include "util/arg_parse.hpp"
+#include "util/bitops.hpp"
+#include "util/rng.hpp"
+#include "util/stopwatch.hpp"
+#include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace bnf {
 namespace {
@@ -63,8 +87,6 @@ TEST(SmokeBuildTest, GenSubsystem) {
 }
 
 TEST(SmokeBuildTest, AnalysisSubsystem) {
-  const auto welfare = bcg_welfare(star(4), 1.5);
-  EXPECT_GE(welfare.spread, 1.0 - 1e-12);
   EXPECT_FALSE(default_tau_grid(4).empty());
   const std::array<double, 2> taus{0.5, 2.0};
   const auto points = census_sweep(3, taus, {});

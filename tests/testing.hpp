@@ -7,13 +7,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <span>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analysis/poa_curve.hpp"
+#include "engine/registry.hpp"
 #include "equilibria/pairwise_stability.hpp"
 #include "equilibria/ucg_nash.hpp"
 #include "game/connection_game.hpp"
@@ -23,6 +26,7 @@
 #include "gen/random.hpp"
 #include "graph/graph.hpp"
 #include "util/bitops.hpp"
+#include "util/file_io.hpp"
 #include "util/rational.hpp"
 #include "util/rng.hpp"
 
@@ -216,6 +220,36 @@ inline std::size_t expect_rows_match_naive(const poa_curve_summary& summary,
     ++checked;
   }
   return checked;
+}
+
+/// One scenario golden: `bilatnet run <scenario> <args> --csv <out>` must
+/// write exactly tests/data/<file>.
+struct scenario_golden {
+  std::string scenario;
+  std::vector<std::string> args;
+  std::string file;
+};
+
+/// Run the case through run_scenario_main, the CLI's own entry point, and
+/// compare its CSV with the golden byte for byte.
+inline void expect_matches_golden(const scenario_golden& golden) {
+  const std::string path = ::testing::TempDir() + golden.scenario + ".csv";
+  std::vector<const char*> argv{"prog"};
+  for (const std::string& arg : golden.args) argv.push_back(arg.c_str());
+  argv.push_back("--csv");
+  argv.push_back(path.c_str());
+  std::ostringstream out;
+  ASSERT_EQ(run_scenario_main(golden.scenario, static_cast<int>(argv.size()),
+                              argv.data(), out),
+            0)
+      << golden.scenario;
+  const std::string csv = read_file(path, "expect_matches_golden");
+  std::remove(path.c_str());
+  const std::string expected =
+      read_file(std::string(BILATNET_TEST_DATA) + "/" + golden.file,
+                "expect_matches_golden");
+  ASSERT_FALSE(expected.empty()) << golden.file;
+  EXPECT_EQ(csv, expected) << golden.scenario << " vs " << golden.file;
 }
 
 }  // namespace bnf::testing

@@ -7,6 +7,7 @@
 #include "equilibria/pairwise_stability.hpp"
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
+#include "testing.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
@@ -91,6 +92,13 @@ TEST(TransfersTest, Preconditions) {
   EXPECT_THROW((void)compute_transfer_stability_interval(graph(3)),
                precondition_error);
   EXPECT_THROW((void)is_transfer_stable(star(4), 0.0), precondition_error);
+}
+
+// The transfers-ablation scenario (Section 6): plain vs transfer-stable
+// sets and their PoA on the n = 6 tau grid.
+TEST(TransfersTest, AblationScenarioMatchesTheGolden) {
+  testing::expect_matches_golden(
+      {"transfers-ablation", {"--n", "6"}, "transfers_ablation_n6.csv"});
 }
 
 }  // namespace

@@ -41,7 +41,7 @@
 //                    `x.f(` only to methods the caller's file can see
 //                    through its includes (see build_call_edges).
 //
-// Line-local rules run over src/, bench/ and examples/ (`--list-rules`
+// Line-local rules run over src/ and bench/ (`--list-rules`
 // gives each scope): epsilon-literal and float-alpha-compare keep the
 // exactness directories free of float tolerances, unordered-iteration
 // keeps sink-feeding paths ordered, raw-random, raw-thread and raw-exit
@@ -69,7 +69,7 @@
 //   --layers FILE  layer/sink/exact/forbid-reach configuration (default:
 //                  <root>/tools/analyze/layers.txt)
 //   paths          files or directories to scan (default: <root>/src,
-//                  tools, bench and examples, skipping */fixtures/*)
+//                  tools and bench, skipping */fixtures/*)
 // Exit status: 0 clean, 1 violations, 2 usage, I/O or configuration
 // errors.
 
@@ -927,10 +927,10 @@ bool parse_layers_file(const fs::path& path, layer_config& cfg,
   return true;
 }
 
-constexpr int top_rank = 1 << 20;  // bnf.hpp umbrella, tools/, cli-adjacent
+constexpr int top_rank = 1 << 20;  // tools/, cli-adjacent
 
 // Layer of a file: `src/<layer>/...` when <layer> is declared; everything
-// else (src/bnf.hpp, tools/**) sits above the DAG and may include anything.
+// else (tools/**) sits above the DAG and may include anything.
 std::string layer_of(const std::string& rel, const layer_config& cfg,
                      int& rank) {
   if (rel.starts_with("src/")) {
@@ -1848,12 +1848,10 @@ bool analyzable(const fs::path& path) {
 }
 
 // The whole-program index covers the library and its tools; the line-local
-// rules cover the library and its drivers. Widening the index would flag
-// the drivers' flat "bnf.hpp" includes, and widening the line rules would
-// flag this tool's own exits.
-bool indexed(const std::string& rel) {
-  return !starts_with_any(rel, {"bench/", "examples/"});
-}
+// rules cover the library and bench/. bench/ stays out of the index: its
+// one program measures the library from outside and belongs to no layer.
+// Widening the line rules would flag this tool's own exits.
+bool indexed(const std::string& rel) { return !rel.starts_with("bench/"); }
 bool line_scanned(const std::string& rel) {
   return !rel.starts_with("tools/");
 }
@@ -1902,7 +1900,7 @@ int run(int argc, char** argv) {
   }
   if (layers_path.empty()) layers_path = root / "tools" / "analyze" / "layers.txt";
   if (inputs.empty()) {
-    for (const char* dir : {"src", "tools", "bench", "examples"}) {
+    for (const char* dir : {"src", "tools", "bench"}) {
       inputs.push_back(root / dir);
     }
   }

@@ -8,7 +8,7 @@
 # linked programs:
 #
 #   unreached    in the library, in no program
-#   driver-only  in some bench/ or examples/ program, not in `bilatnet`
+#   driver-only  in a bench/ program, not in `bilatnet`
 #
 # Usage: tools/reach_listing.sh [build-dir]   (default: build/reach)
 # JOBS sets the build parallelism (default 2). Tests are not built.
@@ -25,7 +25,7 @@ cmake -S "$root" -B "$build" \
   -DBILATNET_BUILD_TESTS=OFF >/dev/null
 
 programs=()
-for source in "$root"/bench/*.cpp "$root"/examples/*.cpp; do
+for source in "$root"/bench/*.cpp; do
   programs+=("$(basename "$source" .cpp)")
 done
 cmake --build "$build" --parallel "${JOBS:-2}" \
@@ -52,7 +52,7 @@ comm -23 "$tmp/standalone" "$tmp/cli" | comm -12 - "$tmp/library" \
 echo "== unreached: in libbilatnet.a, in no program"
 cat "$tmp/unreached"
 echo
-echo "== driver-only: in a bench/ or examples/ program, not in bilatnet"
+echo "== driver-only: in a bench/ program, not in bilatnet"
 cat "$tmp/driver_only"
 echo
 echo "unreached: $(wc -l <"$tmp/unreached") of $(wc -l <"$tmp/library")"
