@@ -1,6 +1,7 @@
 #include "analysis/census_kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <optional>
 #include <span>
@@ -93,15 +94,15 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
   std::vector<shard_rows> shards(shard_count,
                                  shard_rows{empty_rows, empty_rows});
 
-  // Telemetry: registry references resolved once; each shard flushes one
-  // counter add and one histogram record, so the per-topology path stays
-  // untouched.
+  // Telemetry: registry references resolved once; each shard flushes its
+  // counter adds and writes its wall time and size into its own slot, so
+  // the per-topology path stays untouched. The pass hands obs one summary
+  // of the slots once every shard is done.
+  std::array<std::uint64_t, shard_count> shard_wall_us{};
+  std::array<std::uint64_t, shard_count> shard_topologies{};
   obs::counter& shards_done = obs::get_counter(obs::names::shards_done);
   obs::counter& topologies_profiled =
       obs::get_counter(obs::names::topologies_profiled);
-  obs::histogram& shard_wall = obs::get_histogram(obs::names::shard_wall_us);
-  obs::histogram& shard_sizes =
-      obs::get_histogram(obs::names::shard_topologies);
   obs::counter& ucg_player_intervals =
       obs::get_counter(obs::names::ucg_player_intervals);
   obs::counter& ucg_orientations =
@@ -149,13 +150,15 @@ std::vector<census_point> census_kernel::run(const row_grid& grid,
       if (pass.first_walk) {
         span.arg("topologies", topologies);
         topologies_profiled.add(topologies);
-        shard_sizes.record(topologies);
       }
       shards_done.add(1);
-      shard_wall.record(
-          static_cast<std::uint64_t>(shard_timer.seconds() * 1e6));
+      shard_topologies[shard] = topologies;
+      shard_wall_us[shard] =
+          static_cast<std::uint64_t>(shard_timer.seconds() * 1e6);
     }
   });
+  obs::metrics_registry::global().record_shard_pass(obs::summarize_shard_pass(
+      pass.shard_span, shard_wall_us, shard_topologies));
 
   // Fixed-order shard merge; the accumulator is exactly associative, so
   // this is byte-stable no matter how the shards were scheduled.

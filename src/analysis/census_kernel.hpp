@@ -75,8 +75,7 @@ struct census_pass {
   bool include_ucg{true};
   alpha_interval ucg_clamp;  // region-search clamp; full axis by default
   /// Whether the pass meets the topologies for the first time: only then
-  /// are they counted (topologies_profiled, shard sizes, the span's
-  /// topologies arg).
+  /// are they counted (topologies_profiled and the span's topologies arg).
   bool first_walk{true};
   /// Sees each profile before it is accumulated.
   std::function<void(std::size_t shard, const topology_profile& profile)>
@@ -98,7 +97,9 @@ class census_kernel {
   /// threads 0 = hardware concurrency.
   census_kernel(int n, int threads, int passes);
 
-  /// Run one pass over every shard; one census_point per grid row.
+  /// Run one pass over every shard; one census_point per grid row. Each
+  /// pass appends one obs::shard_pass_summary (named by pass.shard_span)
+  /// to the metrics registry: its exact per-shard wall-time skew.
   [[nodiscard]] std::vector<census_point> run(const row_grid& grid,
                                               const census_pass& pass) const;
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <ostream>
-#include <sstream>
 
 #include "obs/metrics.hpp"
 #include "util/arg_parse.hpp"
@@ -31,11 +28,40 @@ std::uint64_t get_uint_or(const json_value& object, std::string_view key,
   return value != nullptr && value->is_number() ? value->as_uint() : fallback;
 }
 
-double get_double_or(const json_value& object, std::string_view key,
-                     double fallback) {
-  const json_value* value = object.find(key);
-  return value != nullptr && value->is_number() ? value->as_double()
-                                                : fallback;
+/// A shard_skew count: a plain non-negative integer below 10^19 (so it
+/// fits a uint64), or a precondition_error naming the field.
+std::uint64_t skew_count(const json_value& value, std::string_view field) {
+  expects(value.is_number() && value.number_text().size() <= 19 &&
+              value.number_text().find_first_not_of("0123456789") ==
+                  std::string::npos,
+          "shard_skew: " + std::string(field) +
+              " is not a non-negative integer");
+  return value.as_uint();
+}
+
+obs::shard_pass_summary parse_shard_pass(const json_value& entry) {
+  expects(entry.is_object(), "shard_skew: entry is not an object");
+  const json_value& span = entry.at("span");
+  expects(span.is_string(), "shard_skew: span is not a string");
+  obs::shard_pass_summary pass;
+  pass.span = span.as_string();
+  const std::pair<const char*, std::uint64_t*> counts[] = {
+      {"shards", &pass.shards},         {"min_us", &pass.min_us},
+      {"p50_us", &pass.p50_us},         {"p95_us", &pass.p95_us},
+      {"max_us", &pass.max_us},         {"total_us", &pass.total_us},
+      {"topologies", &pass.topologies},
+  };
+  for (const auto& [field, slot] : counts) {
+    *slot = skew_count(entry.at(field), field);
+  }
+  const json_value& stragglers = entry.at("stragglers");
+  expects(stragglers.is_array() &&
+              stragglers.items().size() == pass.straggler_count(),
+          "shard_skew: stragglers is not a list of min(shards, 3) ids");
+  for (std::size_t k = 0; k < pass.straggler_count(); ++k) {
+    pass.stragglers[k] = skew_count(stragglers.items()[k], "straggler id");
+  }
+  return pass;
 }
 
 ledger_record parse_record(const json_value& object) {
@@ -59,34 +85,15 @@ ledger_record parse_record(const json_value& object) {
       record.counters.emplace_back(name, value.as_uint());
     }
   }
+  // An older ledger's single-object shard_skew predates the per-pass
+  // array: it parses, and contributes no skew rows.
   if (const json_value* skew = object.find("shard_skew");
-      skew != nullptr && skew->is_object()) {
-    const json_value* wall = skew->find("wall_us");
-    if (wall != nullptr && wall->is_object()) {
-      shard_wall_summary& summary = record.shard_wall;
-      summary.shards = get_uint_or(*skew, "shards", 0);
-      summary.min_us = get_double_or(*wall, "min", 0);
-      summary.p50_us = get_double_or(*wall, "p50", 0);
-      summary.max_us = get_double_or(*wall, "max", 0);
+      skew != nullptr && skew->is_array()) {
+    for (const json_value& entry : skew->items()) {
+      record.shard_skew.push_back(parse_shard_pass(entry));
     }
   }
-  if (const json_value* files = object.find("files")) {
-    record.jsonl_path = get_string_or(*files, "jsonl", "");
-    record.csv_path = get_string_or(*files, "csv", "");
-    record.metrics_path = get_string_or(*files, "metrics", "");
-    record.trace_path = get_string_or(*files, "trace", "");
-  }
   return record;
-}
-
-/// Exact nearest-rank percentile of an ascending-sorted sample vector.
-double sorted_percentile(const std::vector<double>& sorted, int percent) {
-  if (sorted.empty()) return 0;
-  const std::size_t n = sorted.size();
-  std::size_t rank = (n * static_cast<std::size_t>(percent) + 99) / 100;
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
 }
 
 std::string fmt_rss(std::uint64_t bytes) {
@@ -106,28 +113,6 @@ std::string fmt_signed_percent(double fraction) {
 std::string fmt_rate(std::uint64_t count, double seconds) {
   if (count == 0 || seconds <= 0) return "-";
   return fmt_double(static_cast<double>(count) / seconds, 1);
-}
-
-/// Resolve a side-file path recorded in the ledger: as given first, then
-/// relative to the ledger's own directory (the natural layout when a
-/// ledger and its artifacts are downloaded together), then by basename in
-/// that directory. Empty string when none is readable.
-std::string resolve_side_file(const std::string& ledger_path,
-                              const std::string& recorded) {
-  if (recorded.empty()) return "";
-  const auto readable = [](const std::string& p) {
-    return std::ifstream(p).good();
-  };
-  if (readable(recorded)) return recorded;
-  const std::filesystem::path dir =
-      std::filesystem::path(ledger_path).parent_path();
-  if (dir.empty()) return "";
-  const std::string sibling = (dir / recorded).string();
-  if (readable(sibling)) return sibling;
-  const std::string by_name =
-      (dir / std::filesystem::path(recorded).filename()).string();
-  if (readable(by_name)) return by_name;
-  return "";
 }
 
 }  // namespace
@@ -167,17 +152,16 @@ std::vector<ledger_record> parse_ledger(std::string_view text) {
     line_start = line_end + 1;
     ++line_number;
     if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-    json_value object;
     try {
-      object = json_value::parse(line);
+      const json_value object = json_value::parse(line);
+      // Ignore record types this reader does not know — the ledger format
+      // is append-only and future writers may add new kinds.
+      if (get_string_or(object, "type", "run") != "run") continue;
+      records.push_back(parse_record(object));
     } catch (const precondition_error& error) {
       throw precondition_error("ledger line " + std::to_string(line_number) +
                                ": " + error.what());
     }
-    // Ignore record types this reader does not know — the ledger format
-    // is append-only and future writers may add new kinds.
-    if (get_string_or(object, "type", "run") != "run") continue;
-    records.push_back(parse_record(object));
   }
   return records;
 }
@@ -186,109 +170,27 @@ std::vector<ledger_record> load_ledger(const std::string& path) {
   return parse_ledger(read_file(path, "report"));
 }
 
-std::vector<shard_span> parse_trace_shards(std::string_view trace_json) {
-  const json_value document = json_value::parse(trace_json);
-  std::vector<shard_span> spans;
-  const json_value* events = document.find("traceEvents");
-  if (events == nullptr || !events->is_array()) return spans;
-  for (const json_value& event : events->items()) {
-    if (!event.is_object()) continue;
-    if (get_string_or(event, "ph", "") != "X") continue;
-    const std::string name = get_string_or(event, "name", "");
-    if (name.size() < 6 || !name.ends_with(".shard")) continue;
-    const json_value* args = event.find("args");
-    if (args == nullptr || !args->is_object()) continue;
-    const json_value* shard_id = args->find("shard");
-    if (shard_id == nullptr || !shard_id->is_number()) continue;
-    shard_span span;
-    span.phase = name;
-    span.shard = shard_id->as_uint();
-    span.wall_ms = static_cast<double>(get_uint_or(event, "dur", 0)) / 1000.0;
-    span.topologies = get_uint_or(*args, "topologies", 0);
-    spans.push_back(std::move(span));
-  }
-  return spans;
-}
-
-std::vector<shard_phase_stats> summarize_shard_phases(
-    const std::vector<shard_span>& spans, std::size_t straggler_count) {
-  std::vector<shard_phase_stats> phases;
-  std::vector<std::vector<const shard_span*>> members;
-  for (const shard_span& span : spans) {
-    std::size_t slot = phases.size();
-    for (std::size_t i = 0; i < phases.size(); ++i) {
-      if (phases[i].phase == span.phase) {
-        slot = i;
-        break;
-      }
-    }
-    if (slot == phases.size()) {
-      phases.emplace_back();
-      phases.back().phase = span.phase;
-      members.emplace_back();
-    }
-    members[slot].push_back(&span);
-  }
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    shard_phase_stats& stats = phases[i];
-    std::vector<double> walls;
-    walls.reserve(members[i].size());
-    for (const shard_span* span : members[i]) {
-      walls.push_back(span->wall_ms);
-      stats.total_ms += span->wall_ms;
-      stats.topologies += span->topologies;
-    }
-    stats.shards = walls.size();
-    std::sort(walls.begin(), walls.end());
-    stats.min_ms = walls.front();
-    stats.max_ms = walls.back();
-    stats.p50_ms = sorted_percentile(walls, 50);
-    stats.p95_ms = sorted_percentile(walls, 95);
-    // Stragglers: the slowest spans, slowest first (stable on ties so the
-    // output is deterministic for a fixed trace file).
-    std::vector<const shard_span*> by_wall = members[i];
-    std::stable_sort(by_wall.begin(), by_wall.end(),
-                     [](const shard_span* a, const shard_span* b) {
-                       return a->wall_ms > b->wall_ms;
-                     });
-    const std::size_t keep = std::min(straggler_count, by_wall.size());
-    for (std::size_t k = 0; k < keep; ++k) {
-      stats.stragglers.push_back(by_wall[k]->shard);
-    }
-  }
-  return phases;
-}
-
-text_table shard_skew_table(const std::vector<shard_phase_stats>& phases) {
-  text_table table({"phase", "shards", "min_ms", "p50_ms", "p95_ms",
+text_table shard_skew_table(const std::vector<ledger_record>& runs) {
+  text_table table({"#", "phase", "shards", "min_ms", "p50_ms", "p95_ms",
                     "max_ms", "topo/s", "stragglers"});
-  for (const shard_phase_stats& stats : phases) {
-    std::string stragglers;
-    for (const std::uint64_t shard : stats.stragglers) {
-      if (!stragglers.empty()) stragglers += " ";
-      stragglers += "#";
-      stragglers += std::to_string(shard);
-    }
-    table.add_row({stats.phase, std::to_string(stats.shards),
-                   fmt_double(stats.min_ms), fmt_double(stats.p50_ms),
-                   fmt_double(stats.p95_ms), fmt_double(stats.max_ms),
-                   fmt_rate(stats.topologies, stats.total_ms / 1000.0),
-                   stragglers});
-  }
-  return table;
-}
-
-text_table shard_wall_table(const std::vector<ledger_record>& runs) {
-  text_table table(
-      {"#", "shards", "min_us", "p50_us", "max_us", "max/p50"});
+  const auto ms = [](std::uint64_t us) {
+    return fmt_double(static_cast<double>(us) / 1000.0);
+  };
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const shard_wall_summary& wall = runs[i].shard_wall;
-    if (wall.shards == 0) continue;
-    table.add_row({std::to_string(i + 1), std::to_string(wall.shards),
-                   fmt_double(wall.min_us), fmt_double(wall.p50_us),
-                   fmt_double(wall.max_us),
-                   wall.p50_us > 0 ? fmt_double(wall.max_us / wall.p50_us, 2)
-                                   : "-"});
+    for (const obs::shard_pass_summary& pass : runs[i].shard_skew) {
+      std::string stragglers;
+      for (std::size_t k = 0; k < pass.straggler_count(); ++k) {
+        if (k > 0) stragglers += " ";
+        stragglers += "#";
+        stragglers += std::to_string(pass.stragglers[k]);
+      }
+      table.add_row({std::to_string(i + 1), pass.span,
+                     std::to_string(pass.shards), ms(pass.min_us),
+                     ms(pass.p50_us), ms(pass.p95_us), ms(pass.max_us),
+                     fmt_rate(pass.topologies,
+                              static_cast<double>(pass.total_us) / 1e6),
+                     stragglers});
+    }
   }
   return table;
 }
@@ -490,11 +392,10 @@ int report_view(const std::string& ledger_path, arg_parser& args,
       << (runs.size() == 1 ? "" : "s") << ")\n\n";
   run_summary_table(runs).print(out);
 
-  const text_table shard_wall = shard_wall_table(runs);
-  if (!shard_wall.rows().empty()) {
-    out << "\nshard wall time (ledger, " << obs::names::shard_wall_us
-        << "):\n";
-    shard_wall.print(out);
+  const text_table skew = shard_skew_table(runs);
+  if (!skew.rows().empty()) {
+    out << "\nshard skew (exact, per census pass):\n";
+    skew.print(out);
   }
 
   std::size_t selected = runs.size();
@@ -516,27 +417,6 @@ int report_view(const std::string& ledger_path, arg_parser& args,
   if (!funnel.rows().empty()) {
     out << "\norderly generator funnel:\n";
     funnel.print(out);
-  }
-
-  if (!run.trace_path.empty()) {
-    const std::string trace_file =
-        resolve_side_file(ledger_path, run.trace_path);
-    if (trace_file.empty()) {
-      out << "\nshard skew: trace file not readable: " << run.trace_path
-          << "\n";
-    } else {
-      const std::vector<shard_span> spans =
-          parse_trace_shards(read_file(trace_file, "report"));
-      if (spans.empty()) {
-        out << "\nshard skew: no shard spans in " << trace_file << "\n";
-      } else {
-        out << "\nshard skew (" << trace_file << "):\n";
-        const std::size_t stragglers =
-            static_cast<std::size_t>(args.get_int("stragglers"));
-        shard_skew_table(summarize_shard_phases(spans, stragglers))
-            .print(out);
-      }
-    }
   }
 
   const std::vector<scaling_group> groups = fit_scaling(runs);
@@ -627,7 +507,7 @@ int run_report_main(int argc, const char* const* argv, std::ostream& out) {
                               : "bilatnet report <ledger>",
                     diff_mode
                         ? "compare two ledger runs under a noise threshold"
-                        : "analyze a run ledger and its side files");
+                        : "analyze a run ledger");
     if (diff_mode) {
       args.add_int("baseline", 0,
                    "baseline run number (1-based; default: the run before "
@@ -643,8 +523,6 @@ int run_report_main(int argc, const char* const* argv, std::ostream& out) {
     } else {
       args.add_int("run", 0,
                    "run number to detail (1-based; default: the last run)");
-      args.add_int("stragglers", 3,
-                   "straggler shard ids to list per phase");
     }
 
     std::vector<const char*> flag_argv;

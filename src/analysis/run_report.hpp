@@ -1,12 +1,11 @@
 // `bilatnet report` — the consumer side of the observability stack. Reads
-// a run ledger (obs/ledger) plus the metrics/trace side files its records
-// point at, and renders what the raw telemetry cannot show directly:
+// a run ledger (obs/ledger) and renders what the raw telemetry cannot show
+// directly:
 //
 //   * a run summary table over the whole ledger (wall, RSS, throughput),
+//   * one exact shard-skew table from the ledger's per-pass shard_skew
+//     summaries (p50/p95/max, straggler shard ids, topologies/s),
 //   * the orderly-generator candidate funnel of one run,
-//   * per-shard wall-time skew tables (p50/p95/max, straggler shard ids,
-//     topologies/s) straight from the trace spans, and per-run shard wall
-//     microseconds from the ledger's own shard_skew summaries,
 //   * scaling-efficiency fits across runs of the same workload at
 //     different --threads,
 //   * and `report diff`: two runs compared under a wall-time noise
@@ -24,19 +23,10 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/table.hpp"
 
 namespace bnf {
-
-/// A run's shard wall-time summary as its ledger footer records it
-/// (engine.shard_wall_us histogram delta: min and max are bucket bounds,
-/// p50 the interpolated estimate).
-struct shard_wall_summary {
-  std::uint64_t shards{0};  // 0 = not recorded
-  double min_us{0};
-  double p50_us{0};
-  double max_us{0};
-};
 
 /// One parsed ledger record (one engine run), in ledger order.
 struct ledger_record {
@@ -52,13 +42,9 @@ struct ledger_record {
   std::uint64_t peak_rss_bytes{0};
   /// The run's counter deltas, in recorded (sorted-name) order.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-  /// The footer's shard_skew object (shards == 0 when absent).
-  shard_wall_summary shard_wall;
-  /// Side-file paths as recorded (empty = the run did not write one).
-  std::string jsonl_path;
-  std::string csv_path;
-  std::string metrics_path;
-  std::string trace_path;
+  /// The footer's per-pass shard skew, in run order (empty when the run
+  /// recorded none, or recorded the older single-object shape).
+  std::vector<obs::shard_pass_summary> shard_skew;
 
   /// Value of one recorded counter delta; 0 when the run never moved it.
   [[nodiscard]] std::uint64_t counter(std::string_view name) const;
@@ -74,60 +60,22 @@ struct ledger_record {
 };
 
 /// Parse a whole ledger file's text (one JSON object per line; blank
-/// lines ignored). Throws precondition_error on malformed records.
+/// lines ignored). Throws precondition_error, naming the line, on malformed
+/// records.
 [[nodiscard]] std::vector<ledger_record> parse_ledger(std::string_view text);
 
 /// read_file + parse_ledger.
 [[nodiscard]] std::vector<ledger_record> load_ledger(const std::string& path);
 
-/// One per-shard span pulled out of a Chrome trace file: any complete
-/// event whose name ends in ".shard" and carries a shard-id arg.
-struct shard_span {
-  std::string phase;  // the span name, e.g. the pass-1 shard span
-  std::uint64_t shard{0};
-  double wall_ms{0};
-  std::uint64_t topologies{0};  // 0 when the span does not report it
-};
-
-/// Extract the shard spans from a trace file's JSON text, in document
-/// order. Throws precondition_error on malformed JSON.
-[[nodiscard]] std::vector<shard_span> parse_trace_shards(
-    std::string_view trace_json);
-
-/// Wall-time skew statistics of one phase's shard spans.
-struct shard_phase_stats {
-  std::string phase;
-  std::size_t shards{0};
-  double min_ms{0};
-  double p50_ms{0};
-  double p95_ms{0};
-  double max_ms{0};
-  double total_ms{0};
-  std::uint64_t topologies{0};
-  /// Shard ids of the slowest spans, slowest first.
-  std::vector<std::uint64_t> stragglers;
-};
-
-/// Group `spans` by phase (first-appearance order) and compute exact
-/// nearest-rank percentiles per phase. `straggler_count` bounds the
-/// straggler list.
-[[nodiscard]] std::vector<shard_phase_stats> summarize_shard_phases(
-    const std::vector<shard_span>& spans, std::size_t straggler_count = 3);
-
-/// Render the skew stats as a table: phase, shards, min/p50/p95/max ms,
-/// topologies/s, straggler ids.
+/// Exact shard skew, one row per run and census pass: run #, phase (the
+/// pass's shard span), shards, min/p50/p95/max ms, topologies/s, straggler
+/// ids. Runs without a shard_skew record add no rows.
 [[nodiscard]] text_table shard_skew_table(
-    const std::vector<shard_phase_stats>& phases);
-
-/// Per-run shard wall time from the ledger alone (no trace needed): run #,
-/// shards, min/p50/max microseconds and max over p50. Runs without a
-/// shard_skew record are left out.
-[[nodiscard]] text_table shard_wall_table(
     const std::vector<ledger_record>& runs);
 
 /// The orderly-generator candidate funnel of one run (stage, count, share
-/// of candidates), ending with the canonical branch searches it ran. Empty table (no rows) when the run recorded no
-/// generator counters.
+/// of candidates), ending with the canonical branch searches it ran. Empty
+/// table (no rows) when the run recorded no generator counters.
 [[nodiscard]] text_table generator_funnel_table(const ledger_record& run);
 
 /// Summary table over all records: run #, scenario, params, threads,
@@ -184,7 +132,7 @@ struct run_diff {
                                  double noise);
 
 /// CLI driver behind `bilatnet report`:
-///   bilatnet report <ledger> [--run N] [--stragglers K]
+///   bilatnet report <ledger> [--run N]
 ///   bilatnet report diff <ledger> [--baseline N] [--candidate M]
 ///                        [--noise F] [--fail-on-regression]
 /// argv[0] is skipped as the program name; positional tokens (the

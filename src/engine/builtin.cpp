@@ -133,7 +133,7 @@ class poa_curve_scenario final : public scenario {
   int run(run_context& ctx) const override {
     const int n = static_cast<int>(ctx.args.get_int("n"));
     const long long budget_mib = ctx.args.get_int("memory-budget");
-    expects(budget_mib >= 0, "poa-curve: --memory-budget must be >= 0 MiB");
+    expects(budget_mib >= 0, "--memory-budget must be >= 0 MiB");
     const std::size_t budget = static_cast<std::size_t>(budget_mib) << 20;
 
     stopwatch timer;
@@ -417,7 +417,7 @@ class transfers_ablation_scenario final : public scenario {
               if (plain) ++both;
             }
           },
-          {.connected_only = true});
+          {.connected_only = true, .threads = ctx.threads});
 
       table.add_row(
           {fmt_double(tau, 3), fmt_double(alpha, 3),

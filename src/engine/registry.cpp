@@ -1,9 +1,8 @@
 #include "engine/registry.hpp"
 
-#include <algorithm>
 #include <optional>
-#include <sstream>
 #include <utility>
+#include <vector>
 
 #include "engine/builtin.hpp"
 #include "engine/sink.hpp"
@@ -38,8 +37,8 @@ void add_engine_flags(arg_parser& args) {
   args.add_flag("timing", "append a wall-time footer record to the JSONL "
                           "output (breaks byte-reproducibility)");
   args.add_string("metrics", "",
-                  "write the run's metrics registry (counters, gauges, "
-                  "histograms) as a JSON object to this file");
+                  "write the run's metrics registry (counters and gauges) "
+                  "as a JSON object to this file");
   args.add_string("trace", "",
                   "write a Chrome trace-event JSON of the run's phase and "
                   "shard spans to this file (load in Perfetto)");
@@ -154,12 +153,14 @@ int run_scenario_main(const scenario& entry, int argc,
     const std::string metrics_path = args.get_string("metrics");
     const std::string trace_path = args.get_string("trace");
     if (!trace_path.empty()) obs::trace_session::begin();
-    const auto counters_before =
-        obs::metrics_registry::global().counter_snapshot();
-    const std::uint64_t shards_before =
-        obs::get_counter(obs::names::shards_done).value();
-    const obs::histogram_snapshot shard_wall_before =
-        obs::get_histogram(obs::names::shard_wall_us).snapshot();
+    obs::metrics_registry& registry = obs::metrics_registry::global();
+    const auto counters_before = registry.counter_snapshot();
+    const std::size_t passes_before = registry.shard_pass_count();
+    obs::counter& shards_done = obs::get_counter(obs::names::shards_done);
+    obs::counter& parallel_sections =
+        obs::get_counter(obs::names::pool_parallel_sections);
+    const std::uint64_t shards_before = shards_done.value();
+    const std::uint64_t sections_before = parallel_sections.value();
     std::optional<obs::progress_reporter> progress;
     if (args.was_set("progress")) {
       progress.emplace(args.get_double("progress"), std::cerr);
@@ -175,29 +176,17 @@ int run_scenario_main(const scenario& entry, int argc,
 
     run_footer footer;
     footer.wall_seconds = timer.seconds();
-    footer.threads = ctx.threads;
-    footer.shards =
-        obs::get_counter(obs::names::shards_done).value() - shards_before;
+    // A run that never fanned out to the pool ran on one thread, whatever
+    // --threads asked for.
+    footer.threads = parallel_sections.value() == sections_before ? 1
+                                                                  : ctx.threads;
+    footer.shards = shards_done.value() - shards_before;
     progress.reset();  // stop the heartbeat before the summary writes
     footer.peak_rss_bytes = peak_rss_bytes();
-    footer.metrics_json = obs::metrics_registry::global().counters_delta_json(
-        counters_before);
-    // Shard wall-time skew of THIS run: the histograms are process-
-    // cumulative, but bucket counts are individually monotone, so the
-    // snapshot delta describes exactly the shards recorded in between.
-    const obs::histogram_snapshot shard_wall_delta = obs::snapshot_delta(
-        obs::get_histogram(obs::names::shard_wall_us).snapshot(),
-        shard_wall_before);
-    if (shard_wall_delta.count > 0) {
-      std::ostringstream skew;
-      skew << "{\"shards\":" << shard_wall_delta.count << ",\"wall_us\":{"
-           << "\"min\":" << obs::snapshot_min_bound(shard_wall_delta)
-           << ",\"p50\":"
-           << fmt_double(obs::estimate_percentile(shard_wall_delta, 50))
-           << ",\"max\":" << obs::snapshot_max_bound(shard_wall_delta)
-           << "}}";
-      footer.shard_skew_json = skew.str();
-    }
+    footer.metrics_json = registry.counters_delta_json(counters_before);
+    const std::vector<obs::shard_pass_summary> passes =
+        registry.shard_passes_since(passes_before);
+    if (!passes.empty()) footer.shard_skew_json = obs::shard_skew_json(passes);
     if (!trace_path.empty()) obs::trace_session::end_to_file(trace_path);
     if (!metrics_path.empty()) {
       std::ofstream metrics_out = open_for_write(metrics_path, "metrics");
@@ -205,8 +194,7 @@ int run_scenario_main(const scenario& entry, int argc,
                   << "\",\"wall_s\":" << footer.wall_seconds
                   << ",\"threads\":" << footer.threads
                   << ",\"peak_rss_bytes\":" << footer.peak_rss_bytes
-                  << ",\"metrics\":"
-                  << obs::metrics_registry::global().to_json() << "}\n";
+                  << ",\"metrics\":" << registry.to_json() << "}\n";
       flush_or_throw(metrics_out, metrics_path, "metrics");
     }
     sinks.end_run(footer);

@@ -33,7 +33,8 @@ struct run_metadata {
 /// — they only surface in the opt-in timing footer, never in row data.
 struct run_footer {
   double wall_seconds{0};
-  /// Resolved worker count the run executed with (0 = not recorded).
+  /// Worker count the run executed with: the resolved --threads, or 1 when
+  /// the run never fanned out to the pool (0 = not recorded).
   int threads{0};
   /// Work shards completed during the run (engine.shards_done delta; 0
   /// for scenarios with no shard structure).
@@ -44,10 +45,9 @@ struct run_footer {
   /// Pre-rendered JSON object of the run's counter increments (obs
   /// metrics registry delta), or empty to omit the summary block.
   std::string metrics_json;
-  /// Pre-rendered JSON object summarizing the run's shard wall-time skew
-  /// ({"shards":S,"wall_us":{"min":..,"p50":..,"max":..}} from the
-  /// engine.shard_wall_us histogram delta), or
-  /// empty for scenarios with no shard structure.
+  /// Pre-rendered JSON array of the run's census passes, one exact shard
+  /// wall-time summary each (obs::shard_skew_json), or empty for
+  /// scenarios that ran no census pass.
   std::string shard_skew_json;
 };
 
@@ -67,7 +67,7 @@ class result_sink {
 ///   {"type":"row","table":<name>,"values":{<header>:<cell>,...}}
 ///   {"type":"footer","rows":N,"wall_s":...,"threads":T,"shards":S,
 ///    "peak_rss_bytes":B,"metrics":{...},
-///    "shard_skew":{...}}                          (only with timing on)
+///    "shard_skew":[{...},...]}                    (only with timing on)
 /// Cell values are the already-formatted table strings, so the payload is
 /// exactly what the text tables show.
 class jsonl_sink final : public result_sink {

@@ -1,9 +1,10 @@
 // The run ledger: an append-only JSONL history of engine runs. Attaching
 // `--ledger <path>` to any `bilatnet run` appends ONE structured record
-// when the run finishes — scenario, canonical params, git describe,
-// resolved threads, shard count, wall time, peak RSS, the run's counter
-// delta, the footer's shard-skew summary, and the paths of whatever
-// side files (--jsonl/--csv/--metrics/--trace) the run was asked to write.
+// when the run finishes — scenario, canonical params, git describe, the
+// threads it ran on, shard count, wall time, peak RSS, the run's counter
+// delta, the footer's per-pass shard-skew summaries, and the paths of
+// whatever side files (--jsonl/--csv/--metrics/--trace) the run was asked
+// to write.
 // A machine's ledger is thus a queryable dataset of everything it has
 // ever run; `bilatnet report` is the reader.
 //
@@ -33,9 +34,10 @@ struct ledger_side_files {
 /// Appends one JSONL record per run:
 ///   {"type":"run","scenario":...,"seed":N,"git":...,"params":{...},
 ///    "threads":T,"shards":S,"rows":R,"wall_s":...,"peak_rss_bytes":B,
-///    "counters":{...},"shard_skew":{...},"files":{...}}
+///    "counters":{...},"shard_skew":[{...},...],"files":{...}}
 /// The counters object is the run's metric delta (omitted when empty),
-/// shard_skew the footer summary (omitted for shardless scenarios), and
+/// shard_skew one exact summary per census pass (obs::shard_skew_json;
+/// omitted when the run ran none), and
 /// files lists only the side files actually requested.
 class ledger_sink final : public result_sink {
  public:

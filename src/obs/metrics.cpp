@@ -1,87 +1,75 @@
 #include "obs/metrics.hpp"
 
-#include <bit>
+#include <algorithm>
+#include <numeric>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
-#include "util/table.hpp"  // fmt_double for the estimated percentiles
+#include "util/json.hpp"
 
 namespace bnf::obs {
 
 namespace {
 
-// Inclusive value bounds of bucket b: {0} for b = 0, [2^(b-1), 2^b - 1]
-// otherwise.
-std::uint64_t bucket_lower(int b) noexcept {
-  return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
-}
-
-std::uint64_t bucket_upper(int b) noexcept {
-  if (b == 0) return 0;
-  return b == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << b) - 1;
+/// Nearest-rank percentile of an ascending sample vector: the
+/// ceil(percent/100 * n)-th smallest sample (0 when empty).
+std::uint64_t nearest_rank(const std::vector<std::uint64_t>& sorted,
+                           std::size_t percent) {
+  if (sorted.empty()) return 0;
+  const std::size_t rank =
+      std::max<std::size_t>(1, (sorted.size() * percent + 99) / 100);
+  return sorted[rank - 1];
 }
 
 }  // namespace
 
-histogram_snapshot snapshot_delta(const histogram_snapshot& after,
-                                  const histogram_snapshot& before) {
-  histogram_snapshot delta;
-  delta.count = after.count >= before.count ? after.count - before.count : 0;
-  delta.sum = after.sum >= before.sum ? after.sum - before.sum : 0;
-  for (int b = 0; b < histogram_buckets; ++b) {
-    const std::uint64_t hi = after.buckets[static_cast<std::size_t>(b)];
-    const std::uint64_t lo = before.buckets[static_cast<std::size_t>(b)];
-    delta.buckets[static_cast<std::size_t>(b)] = hi >= lo ? hi - lo : 0;
+shard_pass_summary summarize_shard_pass(
+    std::string_view span, std::span<const std::uint64_t> wall_us,
+    std::span<const std::uint64_t> topologies) {
+  shard_pass_summary pass;
+  pass.span = span;
+  pass.shards = wall_us.size();
+  std::vector<std::uint64_t> sorted(wall_us.begin(), wall_us.end());
+  std::sort(sorted.begin(), sorted.end());
+  if (!sorted.empty()) {
+    pass.min_us = sorted.front();
+    pass.max_us = sorted.back();
   }
-  return delta;
+  pass.p50_us = nearest_rank(sorted, 50);
+  pass.p95_us = nearest_rank(sorted, 95);
+  for (const std::uint64_t us : wall_us) pass.total_us += us;
+  for (const std::uint64_t count : topologies) pass.topologies += count;
+
+  std::vector<std::uint64_t> ids(wall_us.size());
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+  const auto keep = static_cast<std::ptrdiff_t>(pass.straggler_count());
+  std::partial_sort(ids.begin(), ids.begin() + keep, ids.end(),
+                    [&](std::uint64_t a, std::uint64_t b) {
+                      return wall_us[a] != wall_us[b] ? wall_us[a] > wall_us[b]
+                                                      : a < b;
+                    });
+  std::copy_n(ids.begin(), keep, pass.stragglers.begin());
+  return pass;
 }
 
-std::uint64_t snapshot_min_bound(const histogram_snapshot& s) {
-  for (int b = 0; b < histogram_buckets; ++b) {
-    if (s.buckets[static_cast<std::size_t>(b)] > 0) return bucket_lower(b);
-  }
-  return 0;
-}
-
-std::uint64_t snapshot_max_bound(const histogram_snapshot& s) {
-  for (int b = histogram_buckets - 1; b >= 0; --b) {
-    if (s.buckets[static_cast<std::size_t>(b)] > 0) return bucket_upper(b);
-  }
-  return 0;
-}
-
-double estimate_percentile(const histogram_snapshot& s, double p) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t c : s.buckets) total += c;
-  if (total == 0 || p <= 0) return 0;
-  if (p > 100) p = 100;
-  // Rank of the requested sample, 1-based; ceil without FP edge cases
-  // (same convention as histogram::percentile).
-  std::uint64_t rank =
-      static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(total));
-  if (static_cast<double>(rank) * 100.0 < p * static_cast<double>(total)) {
-    ++rank;
-  }
-  if (rank == 0) rank = 1;
-  if (rank > total) rank = total;
-
-  std::uint64_t cumulative = 0;
-  for (int b = 0; b < histogram_buckets; ++b) {
-    const std::uint64_t in_bucket = s.buckets[static_cast<std::size_t>(b)];
-    if (cumulative + in_bucket < rank) {
-      cumulative += in_bucket;
-      continue;
+std::string shard_skew_json(const std::vector<shard_pass_summary>& passes) {
+  std::ostringstream out;
+  out << "[";
+  for (std::size_t i = 0; i < passes.size(); ++i) {
+    const shard_pass_summary& pass = passes[i];
+    out << (i > 0 ? "," : "") << "{\"span\":\"" << json_escape(pass.span)
+        << "\",\"shards\":" << pass.shards << ",\"min_us\":" << pass.min_us
+        << ",\"p50_us\":" << pass.p50_us << ",\"p95_us\":" << pass.p95_us
+        << ",\"max_us\":" << pass.max_us << ",\"total_us\":" << pass.total_us
+        << ",\"topologies\":" << pass.topologies << ",\"stragglers\":[";
+    for (std::size_t k = 0; k < pass.straggler_count(); ++k) {
+      out << (k > 0 ? "," : "") << pass.stragglers[k];
     }
-    // The rank-th sample is the k-th of `in_bucket` samples in bucket b;
-    // spread them evenly over the bucket span and answer with the k-th
-    // sub-interval's midpoint.
-    const double lo = static_cast<double>(bucket_lower(b));
-    const double hi = static_cast<double>(bucket_upper(b));
-    const double k = static_cast<double>(rank - cumulative);
-    const double c = static_cast<double>(in_bucket);
-    return lo + (hi - lo) * (2.0 * k - 1.0) / (2.0 * c);
+    out << "]}";
   }
-  return static_cast<double>(snapshot_max_bound(s));
+  out << "]";
+  return out.str();
 }
 
 int this_thread_slot() noexcept {
@@ -91,68 +79,6 @@ int this_thread_slot() noexcept {
   thread_local const int slot =
       next_slot.fetch_add(1, std::memory_order_relaxed);
   return slot;
-}
-
-void histogram::record(std::uint64_t sample) noexcept {
-  // relaxed throughout: each field is independently monotone (counts and
-  // sums only grow, min/max only tighten via the CAS loops below), so a
-  // reader needs no ordering BETWEEN fields — readers tolerate a count
-  // that is momentarily ahead of the matching bucket increment (see
-  // percentile()'s trailing max() fallback). The final, exact aggregate
-  // is read after the run's joins, which publish every cell with
-  // stronger-than-needed ordering anyway.
-  buckets_[std::bit_width(sample)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(sample, std::memory_order_relaxed);
-  std::uint64_t seen = min_.load(std::memory_order_relaxed);
-  while (sample < seen && !min_.compare_exchange_weak(
-                              seen, sample, std::memory_order_relaxed)) {
-  }
-  seen = max_.load(std::memory_order_relaxed);
-  while (sample > seen && !max_.compare_exchange_weak(
-                              seen, sample, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t histogram::min() const noexcept {
-  const std::uint64_t seen = min_.load(std::memory_order_relaxed);
-  return seen == ~std::uint64_t{0} ? 0 : seen;
-}
-
-std::uint64_t histogram::percentile(double p) const noexcept {
-  const std::uint64_t total = count();
-  if (total == 0 || p <= 0) return 0;
-  if (p > 100) p = 100;
-  // Rank of the requested sample, 1-based; ceil without FP edge cases.
-  std::uint64_t rank =
-      static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(total));
-  if (static_cast<double>(rank) * 100.0 < p * static_cast<double>(total)) {
-    ++rank;
-  }
-  if (rank == 0) rank = 1;
-  if (rank > total) rank = total;
-
-  std::uint64_t cumulative = 0;
-  for (int b = 0; b < bucket_count; ++b) {
-    cumulative += buckets_[b].load(std::memory_order_relaxed);
-    if (cumulative >= rank) {
-      // Upper bound of bucket b: 0 for {0}, 2^b - 1 otherwise.
-      return b == 0 ? 0 : (b == 64 ? ~std::uint64_t{0}
-                                   : (std::uint64_t{1} << b) - 1);
-    }
-  }
-  return max();  // concurrent writers moved count past the buckets read
-}
-
-histogram_snapshot histogram::snapshot() const noexcept {
-  histogram_snapshot snap;
-  snap.count = count();
-  snap.sum = sum();
-  for (int b = 0; b < bucket_count; ++b) {
-    snap.buckets[static_cast<std::size_t>(b)] =
-        buckets_[b].load(std::memory_order_relaxed);
-  }
-  return snap;
 }
 
 metrics_registry& metrics_registry::global() {
@@ -174,13 +100,6 @@ gauge& metrics_registry::gauge_ref(std::string_view name) {
   return gauges_.try_emplace(std::string(name)).first->second;
 }
 
-histogram& metrics_registry::histogram_ref(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.try_emplace(std::string(name)).first->second;
-}
-
 void metrics_registry::write_json(std::ostream& out) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   out << "{\"counters\":{";
@@ -197,23 +116,6 @@ void metrics_registry::write_json(std::ostream& out) const {
     first = false;
     out << "\"" << name << "\":{\"value\":" << metric.value()
         << ",\"max\":" << metric.max_value() << "}";
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, metric] : histograms_) {
-    if (!first) out << ",";
-    first = false;
-    const histogram_snapshot snap = metric.snapshot();
-    out << "\"" << name << "\":{\"count\":" << metric.count()
-        << ",\"sum\":" << metric.sum() << ",\"min\":" << metric.min()
-        << ",\"max\":" << metric.max()
-        << ",\"p50\":" << metric.percentile(50)
-        << ",\"p90\":" << metric.percentile(90)
-        << ",\"p99\":" << metric.percentile(99)
-        << ",\"p50_est\":" << fmt_double(estimate_percentile(snap, 50))
-        << ",\"p90_est\":" << fmt_double(estimate_percentile(snap, 90))
-        << ",\"p99_est\":" << fmt_double(estimate_percentile(snap, 99))
-        << "}";
   }
   out << "}}";
 }
@@ -232,6 +134,24 @@ std::map<std::string, std::uint64_t> metrics_registry::counter_snapshot()
     snapshot.emplace(name, metric.value());
   }
   return snapshot;
+}
+
+void metrics_registry::record_shard_pass(shard_pass_summary pass) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  shard_passes_.push_back(std::move(pass));
+}
+
+std::size_t metrics_registry::shard_pass_count() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return shard_passes_.size();
+}
+
+std::vector<shard_pass_summary> metrics_registry::shard_passes_since(
+    std::size_t first) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (first >= shard_passes_.size()) return {};
+  return {shard_passes_.begin() + static_cast<std::ptrdiff_t>(first),
+          shard_passes_.end()};
 }
 
 std::string metrics_registry::counters_delta_json(
@@ -259,10 +179,6 @@ counter& get_counter(std::string_view name) {
 
 gauge& get_gauge(std::string_view name) {
   return metrics_registry::global().gauge_ref(name);
-}
-
-histogram& get_histogram(std::string_view name) {
-  return metrics_registry::global().histogram_ref(name);
 }
 
 }  // namespace bnf::obs

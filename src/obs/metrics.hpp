@@ -1,6 +1,6 @@
-// Process-wide metrics registry: named lock-free counters, gauges and
-// histograms that hot paths update for free and diagnostics aggregate on
-// demand.
+// Process-wide metrics registry: named lock-free counters and gauges that
+// hot paths update for free and diagnostics aggregate on demand, plus the
+// per-pass shard-skew summaries the census kernel hands over.
 //
 // The hard invariant of the whole obs/ layer is that telemetry NEVER feeds
 // back into results: metrics are write-only from the engine's point of view
@@ -25,12 +25,15 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace bnf::obs {
 
@@ -119,85 +122,44 @@ class gauge {
   std::atomic<std::int64_t> max_{0};
 };
 
-/// Number of power-of-two buckets a histogram carries: one per possible
-/// bit_width of a uint64 sample (0..64).
-inline constexpr int histogram_buckets = 65;
+/// Straggler shard ids a shard-pass summary keeps.
+inline constexpr std::size_t shard_stragglers = 3;
 
-/// Point-in-time copy of a histogram's bucket counts and totals. Bucket
-/// counts are individually monotone, so the element-wise difference of two
-/// snapshots is itself a valid snapshot describing just the samples
-/// recorded in between — that is how the engine reports per-run shard skew
-/// from process-cumulative histograms.
-struct histogram_snapshot {
-  std::uint64_t count{0};
-  std::uint64_t sum{0};
-  std::array<std::uint64_t, histogram_buckets> buckets{};
+/// Exact wall-time skew of one census-kernel pass: the kernel times every
+/// shard into its own slot and hands this summary over once the pass is
+/// done, so a run's ledger can say which pass straggled and by how much.
+struct shard_pass_summary {
+  std::string span;  // the pass's per-shard trace span name
+  std::uint64_t shards{0};
+  /// Exact nearest-rank percentiles of the shard wall times, and their sum.
+  std::uint64_t min_us{0};
+  std::uint64_t p50_us{0};
+  std::uint64_t p95_us{0};
+  std::uint64_t max_us{0};
+  std::uint64_t total_us{0};
+  /// Topologies the pass walked (0 when it replayed a profile cache).
+  std::uint64_t topologies{0};
+  /// The straggler_count() slowest shard ids, slowest first; ties go to
+  /// the lower id. Slots past straggler_count() are 0.
+  std::array<std::uint64_t, shard_stragglers> stragglers{};
+
+  [[nodiscard]] std::size_t straggler_count() const {
+    return shards < shard_stragglers ? static_cast<std::size_t>(shards)
+                                     : shard_stragglers;
+  }
 };
 
-/// Element-wise `after - before`. Buckets that went backwards (only
-/// possible when the snapshots come from different histograms) clamp to 0.
-[[nodiscard]] histogram_snapshot snapshot_delta(
-    const histogram_snapshot& after, const histogram_snapshot& before);
+/// Summarize one pass from its per-shard wall microseconds and topology
+/// counts (index = shard id; the two spans have equal length).
+[[nodiscard]] shard_pass_summary summarize_shard_pass(
+    std::string_view span, std::span<const std::uint64_t> wall_us,
+    std::span<const std::uint64_t> topologies);
 
-/// Lower bound of the smallest nonempty bucket (0 when empty) — the
-/// tightest "min sample" statement the bucket layout supports.
-[[nodiscard]] std::uint64_t snapshot_min_bound(const histogram_snapshot& s);
-
-/// Upper bound of the largest nonempty bucket (0 when empty).
-[[nodiscard]] std::uint64_t snapshot_max_bound(const histogram_snapshot& s);
-
-/// Interpolated percentile estimate, 0 < p <= 100: finds the bucket of the
-/// ceil(p/100 * count)-th smallest sample and places it on the bucket's
-/// span assuming uniform spacing of that bucket's samples. Exact for
-/// bucket 0 (all zeros); elsewhere tighter than the raw bucket upper bound
-/// the histogram::percentile query answers with. Returns 0 when empty.
-[[nodiscard]] double estimate_percentile(const histogram_snapshot& s,
-                                         double p);
-
-/// Power-of-two-bucket histogram of non-negative samples: bucket b holds
-/// the values with bit_width b, i.e. bucket 0 = {0} and bucket b =
-/// [2^(b-1), 2^b - 1]. Percentile queries answer with the upper bound of
-/// the bucket the requested rank falls in — exact to a factor of 2, which
-/// is what shard-balance and latency-skew questions need. Recording is a
-/// handful of relaxed atomic RMWs; histograms are for per-shard events
-/// (hundreds per run), not per-topology ones.
-class histogram {
- public:
-  static constexpr int bucket_count = histogram_buckets;
-
-  histogram() = default;
-  histogram(const histogram&) = delete;
-  histogram& operator=(const histogram&) = delete;
-
-  void record(std::uint64_t sample) noexcept;
-
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  /// Smallest / largest recorded sample (0 / 0 when empty).
-  [[nodiscard]] std::uint64_t min() const noexcept;
-  [[nodiscard]] std::uint64_t max() const noexcept {
-    return max_.load(std::memory_order_relaxed);
-  }
-
-  /// Upper bound of the bucket holding the ceil(p/100 * count)-th smallest
-  /// sample; requires 0 < p <= 100. Returns 0 when empty.
-  [[nodiscard]] std::uint64_t percentile(double p) const noexcept;
-
-  /// Copy of the current bucket counts and totals, for delta reporting and
-  /// the interpolated estimate_percentile queries.
-  [[nodiscard]] histogram_snapshot snapshot() const noexcept;
-
- private:
-  std::atomic<std::uint64_t> buckets_[bucket_count]{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-  std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
-  std::atomic<std::uint64_t> max_{0};
-};
+/// The `shard_skew` JSON array of a run's passes, in run order:
+///   [{"span":..,"shards":S,"min_us":..,"p50_us":..,"p95_us":..,
+///     "max_us":..,"total_us":..,"topologies":T,"stragglers":[id,..]},..]
+[[nodiscard]] std::string shard_skew_json(
+    const std::vector<shard_pass_summary>& passes);
 
 /// Name -> metric map. Metrics are created on first lookup and live until
 /// process exit; the returned references are stable, so call sites cache
@@ -208,16 +170,9 @@ class metrics_registry {
 
   counter& counter_ref(std::string_view name);
   gauge& gauge_ref(std::string_view name);
-  histogram& histogram_ref(std::string_view name);
 
   /// One JSON object describing every registered metric, keys sorted:
-  ///   {"counters":{...},"gauges":{"g":{"value":..,"max":..}},
-  ///    "histograms":{"h":{"count":..,"sum":..,"min":..,"max":..,
-  ///                       "p50":..,"p90":..,"p99":..,
-  ///                       "p50_est":..,"p90_est":..,"p99_est":..}}}
-  /// The p* fields are bucket upper bounds (exact to a factor of 2); the
-  /// p*_est fields add the interpolated estimate_percentile values so
-  /// report tooling and humans read the same numbers.
+  ///   {"counters":{...},"gauges":{"g":{"value":..,"max":..}}}
   void write_json(std::ostream& out) const;
   [[nodiscard]] std::string to_json() const;
 
@@ -232,21 +187,31 @@ class metrics_registry {
   [[nodiscard]] std::string counters_delta_json(
       const std::map<std::string, std::uint64_t>& before) const;
 
+  /// Append one finished pass (one call per kernel pass). A run reads back
+  /// its own passes as those past the count it saw when it started.
+  void record_shard_pass(shard_pass_summary pass);
+  [[nodiscard]] std::size_t shard_pass_count() const;
+  [[nodiscard]] std::vector<shard_pass_summary> shard_passes_since(
+      std::size_t first) const;
+
  private:
-  metrics_registry() = default;
+  // The pass list is reserved before any census runs, so a pass's append
+  // allocates nothing until a process has run 64 passes. Growing it on
+  // demand instead read 0.1-0.2 MB more peak RSS on perfbench's
+  // curve-bcg-n9-2pass.
+  metrics_registry() { shard_passes_.reserve(64); }
 
   mutable std::mutex mutex_;
   // node-based maps: references returned from the accessors stay valid
   // forever, concurrent first-lookups are serialized by the mutex.
   std::map<std::string, counter, std::less<>> counters_;
   std::map<std::string, gauge, std::less<>> gauges_;
-  std::map<std::string, histogram, std::less<>> histograms_;
+  std::vector<shard_pass_summary> shard_passes_;
 };
 
 /// Convenience lookups against the global registry.
 [[nodiscard]] counter& get_counter(std::string_view name);
 [[nodiscard]] gauge& get_gauge(std::string_view name);
-[[nodiscard]] histogram& get_histogram(std::string_view name);
 
 /// Canonical metric names shared by the instrumented subsystems and the
 /// progress heartbeat (which reads the first three to compute ETA and
@@ -307,11 +272,6 @@ inline constexpr const char* pool_parallel_sections =
     "thread_pool.parallel_sections";
 /// Instantaneous shared-pool queue depth (gauge; max = worst backlog).
 inline constexpr const char* pool_queue_depth = "thread_pool.queue_depth";
-/// Wall microseconds per completed shard (histogram; microseconds so the
-/// sub-millisecond shards of small censuses still spread over buckets).
-inline constexpr const char* shard_wall_us = "engine.shard_wall_us";
-/// Topologies per completed shard (histogram; spread = shard skew).
-inline constexpr const char* shard_topologies = "engine.shard_topologies";
 }  // namespace names
 
 }  // namespace bnf::obs

@@ -105,6 +105,36 @@ TEST(EngineTest, EveryScenarioRejectsAnUnknownFlag) {
   }
 }
 
+// A scenario's own precondition message is printed after the engine's
+// "bilatnet: <scenario>: " prefix, so it must not name the scenario again.
+TEST(EngineTest, ScenarioErrorNamesTheScenarioOnce) {
+  const std::array argv{"prog", "--memory-budget", "-1"};
+  std::ostringstream out;
+  ::testing::internal::CaptureStderr();
+  const int code = run_scenario_main("poa-curve", static_cast<int>(argv.size()),
+                                     argv.data(), out);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 1);
+  EXPECT_EQ(err, "bilatnet: poa-curve: --memory-budget must be >= 0 MiB\n");
+}
+
+// The ledger records the threads a run used: quickstart never fans out to
+// the pool, so it ran on one thread whatever --threads asked for.
+TEST(EngineTest, LedgerRecordsOneThreadForASerialRun) {
+  const std::string path = ::testing::TempDir() + "bnf_engine_serial.jsonl";
+  std::remove(path.c_str());
+  const std::array argv{"prog", "--threads", "4", "--ledger", path.c_str()};
+  std::ostringstream out;
+  ASSERT_EQ(run_scenario_main("quickstart", static_cast<int>(argv.size()),
+                              argv.data(), out),
+            0);
+  const std::string ledger = slurp(path);
+  EXPECT_NE(ledger.find("\"threads\":1,\"shards\":0,"), std::string::npos)
+      << ledger;
+  EXPECT_EQ(ledger.find("\"shard_skew\""), std::string::npos) << ledger;
+  std::remove(path.c_str());
+}
+
 TEST(RegistryTest, UnknownScenarioNameReturnsTwo) {
   const std::array argv{"prog"};
   std::ostringstream out;
@@ -274,9 +304,7 @@ TEST(SinkTest, TimingFooterIsOptIn) {
                   .shards = 128,
                   .peak_rss_bytes = 1 << 20,
                   .metrics_json = "{\"x\":1}",
-                  .shard_skew_json =
-                      "{\"shards\":128,\"wall_us\":{\"min\":1,\"p50\":2.5,"
-                      "\"max\":9}}"});
+                  .shard_skew_json = "[{\"span\":\"x.shard\"}]"});
   }
   const std::string with_timing = slurp(path);
   EXPECT_NE(with_timing.find("\"type\":\"footer\""), std::string::npos);
@@ -285,13 +313,12 @@ TEST(SinkTest, TimingFooterIsOptIn) {
   EXPECT_NE(with_timing.find("\"shards\":128"), std::string::npos);
   EXPECT_NE(with_timing.find("\"peak_rss_bytes\":1048576"), std::string::npos);
   EXPECT_NE(with_timing.find("\"metrics\":{\"x\":1}"), std::string::npos);
-  EXPECT_NE(with_timing.find("\"shard_skew\":{\"shards\":128,\"wall_us\":"
-                             "{\"min\":1,\"p50\":2.5,\"max\":9}}"),
+  EXPECT_NE(with_timing.find("\"shard_skew\":[{\"span\":\"x.shard\"}]}"),
             std::string::npos);
 
   {
-    // The skew summary is optional: an empty shard_skew_json (no shard
-    // histogram samples in the run) keeps the footer free of the field.
+    // The skew summary is optional: an empty shard_skew_json (no census
+    // pass in the run) keeps the footer free of the field.
     jsonl_sink sink(path, /*include_timing=*/true);
     sink.begin_run({.scenario = "toy", .seed = 1, .git_describe = "test",
                     .params = {}});

@@ -1,5 +1,6 @@
 // Tests for the obs/ telemetry layer: striped counters stay exact under
-// contention, histograms answer percentile queries, the span tracer emits
+// contention, shard-pass summaries give exact nearest-rank skew, the span
+// tracer emits
 // well-formed Chrome trace JSON with correctly nested spans, the RSS probe
 // is monotone — and, the invariant everything else leans on, attaching
 // every telemetry side channel to an engine run changes NO result byte.
@@ -209,42 +210,66 @@ TEST(ObsMetricsTest, GaugeTracksValueAndHighWaterMark) {
   EXPECT_GE(gauge.max_value(), 11);
 }
 
-TEST(ObsMetricsTest, HistogramPercentilesAndMoments) {
-  obs::histogram& hist = obs::get_histogram("test.obs.hist");
-  for (int i = 0; i < 10; ++i) hist.record(1);
-  hist.record(1000);
+TEST(ObsShardPassTest, SummaryIsExactNearestRank) {
+  // 20 shards with walls 1..20 us, shard 7 and shard 3 tied slowest.
+  std::vector<std::uint64_t> wall(20);
+  std::vector<std::uint64_t> topologies(20, 2);
+  for (std::size_t i = 0; i < wall.size(); ++i) wall[i] = i + 1;
+  wall[3] = 50;
+  wall[7] = 50;
+  const obs::shard_pass_summary pass =
+      obs::summarize_shard_pass("test.shard", wall, topologies);
+  EXPECT_EQ(pass.span, "test.shard");
+  EXPECT_EQ(pass.shards, 20u);
+  EXPECT_EQ(pass.min_us, 1u);
+  // Sorted: 1 2 3 5 6 7 9 10 11 12 ... 20 50 50; rank ceil(0.5*20) = 10
+  // and ceil(0.95*20) = 19.
+  EXPECT_EQ(pass.p50_us, 12u);
+  EXPECT_EQ(pass.p95_us, 50u);
+  EXPECT_EQ(pass.max_us, 50u);
+  EXPECT_EQ(pass.total_us, 210u - 4u - 8u + 100u);
+  EXPECT_EQ(pass.topologies, 40u);
+  // Slowest first; the tie goes to the lower shard id.
+  EXPECT_EQ(pass.stragglers, (std::array<std::uint64_t, 3>{3, 7, 19}));
 
-  EXPECT_EQ(hist.count(), 11u);
-  EXPECT_EQ(hist.sum(), 1010u);
-  EXPECT_EQ(hist.min(), 1u);
-  EXPECT_EQ(hist.max(), 1000u);
-  // 1 lives in bucket [1,1]; 1000 in [512,1023]. The 50th percentile rank
-  // is the 6th smallest sample (a 1), the 99th the 11th (the 1000).
-  EXPECT_EQ(hist.percentile(50), 1u);
-  EXPECT_EQ(hist.percentile(99), 1023u);
+  const obs::shard_pass_summary one =
+      obs::summarize_shard_pass("one.shard", std::vector<std::uint64_t>{9},
+                                std::vector<std::uint64_t>{0});
+  EXPECT_EQ(one.p50_us, 9u);
+  EXPECT_EQ(one.p95_us, 9u);
+  EXPECT_EQ(one.straggler_count(), 1u);
+  EXPECT_EQ(one.stragglers[0], 0u);
 }
 
-TEST(ObsMetricsTest, HistogramOfZerosAnswersZero) {
-  obs::histogram& hist = obs::get_histogram("test.obs.hist_zero");
-  hist.record(0);
-  hist.record(0);
-  EXPECT_EQ(hist.count(), 2u);
-  EXPECT_EQ(hist.min(), 0u);
-  EXPECT_EQ(hist.max(), 0u);
-  EXPECT_EQ(hist.percentile(50), 0u);
-  EXPECT_EQ(hist.percentile(100), 0u);
+TEST(ObsShardPassTest, RegistryHandsBackTheRunsOwnPasses) {
+  obs::metrics_registry& registry = obs::metrics_registry::global();
+  const std::size_t before = registry.shard_pass_count();
+  const std::vector<std::uint64_t> wall{4, 1};
+  registry.record_shard_pass(obs::summarize_shard_pass("a.shard", wall, wall));
+  registry.record_shard_pass(obs::summarize_shard_pass("b.shard", wall, wall));
+  const std::vector<obs::shard_pass_summary> passes =
+      registry.shard_passes_since(before);
+  ASSERT_EQ(passes.size(), 2u);
+  EXPECT_EQ(passes[0].span, "a.shard");
+  EXPECT_EQ(passes[1].span, "b.shard");
+  EXPECT_TRUE(registry.shard_passes_since(before + 2).empty());
+
+  const std::string json = obs::shard_skew_json(passes);
+  EXPECT_TRUE(json_checker(json).valid()) << json;
+  EXPECT_EQ(json.substr(0, json.find('}') + 1),
+            R"([{"span":"a.shard","shards":2,"min_us":1,"p50_us":1,)"
+            R"("p95_us":4,"max_us":4,"total_us":5,"topologies":5,)"
+            R"("stragglers":[0,1]})");
 }
 
 TEST(ObsMetricsTest, RegistryJsonIsWellFormed) {
   obs::get_counter("test.obs.json").add(7);
   obs::get_gauge("test.obs.json_gauge").set(3);
-  obs::get_histogram("test.obs.json_hist").record(17);
   const std::string json = obs::metrics_registry::global().to_json();
   EXPECT_TRUE(json_checker(json).valid()) << json;
   EXPECT_NE(json.find("\"test.obs.json\":7"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
 }
 
 TEST(ObsMetricsTest, CounterDeltaJsonReportsOnlyIncrements) {
@@ -461,7 +486,13 @@ TEST(ObsDeterminismTest, TelemetryFlagsChangeNoResultByte) {
   EXPECT_TRUE(json_checker(ledger).valid()) << ledger;
   EXPECT_NE(ledger.find("\"type\":\"run\""), std::string::npos);
   EXPECT_NE(ledger.find("\"scenario\":\"poa-curve\""), std::string::npos);
-  EXPECT_NE(ledger.find("\"shard_skew\""), std::string::npos);
+  EXPECT_NE(ledger.find("\"shard_skew\":[{\"span\":\"poa.pass1.shard\","
+                        "\"shards\":128,"),
+            std::string::npos)
+      << ledger;
+  EXPECT_NE(ledger.find("{\"span\":\"poa.pass2.shard\",\"shards\":128,"),
+            std::string::npos)
+      << ledger;
   EXPECT_NE(ledger.find(trace_path), std::string::npos);
 
   for (const auto& path : {plain_jsonl, plain_csv, wired_jsonl, wired_csv,

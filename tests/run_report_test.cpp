@@ -1,8 +1,8 @@
 // Tests for the `bilatnet report` pipeline over the checked-in fixture
-// set (tests/data/report_fixture_*: a real n=7 poa-curve ledger with its
-// metrics and trace side files): ledger parsing, trace shard extraction,
-// skew tables, the generator funnel, scaling fits, and the diff verdicts
-// on doctored copies.
+// set (tests/data/report_fixture_*: a real n=7 poa-curve ledger and the
+// metrics file of its first run): ledger parsing, the per-pass shard-skew
+// field and its malformed shapes, the skew table, the generator funnel,
+// scaling fits, and the diff verdicts on doctored copies.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -23,7 +23,6 @@ namespace {
 const std::string kDataDir = BILATNET_TEST_DATA;
 const std::string kLedger = kDataDir + "/report_fixture_ledger.jsonl";
 const std::string kMetrics = kDataDir + "/report_fixture_metrics.json";
-const std::string kTrace = kDataDir + "/report_fixture_trace.json";
 const std::string kGateBaseline = kDataDir + "/perf_gate_baseline.jsonl";
 
 TEST(JsonParserTest, ParsesScalarsContainersAndEscapes) {
@@ -50,7 +49,9 @@ TEST(LedgerParseTest, ParsesSyntheticRecords) {
       R"("params":{"n":"5","flag":"true"},"threads":2,"shards":16,)"
       R"("rows":3,"wall_s":1.5,"peak_rss_bytes":1048576,)"
       R"("counters":{"a.b":7},"files":{"trace":"t.json"},)"
-      R"("shard_skew":{"shards":16,"wall_us":{"min":64,"p50":90.5,"max":512}}})"
+      R"("shard_skew":[{"span":"toy.shard","shards":16,"min_us":64,)"
+      R"("p50_us":90,"p95_us":400,"max_us":512,"total_us":2000,)"
+      R"("topologies":7,"stragglers":[5,2,11]}]})"
       "\n"
       R"({"type":"other-kind","scenario":"ignored","wall_s":0})"
       "\n"
@@ -71,16 +72,112 @@ TEST(LedgerParseTest, ParsesSyntheticRecords) {
   EXPECT_DOUBLE_EQ(run.wall_seconds, 1.5);
   EXPECT_EQ(run.counter("a.b"), 7u);
   EXPECT_EQ(run.counter("absent"), 0u);
-  EXPECT_EQ(run.trace_path, "t.json");
-  EXPECT_EQ(run.shard_wall.shards, 16u);
-  EXPECT_DOUBLE_EQ(run.shard_wall.min_us, 64.0);
-  EXPECT_DOUBLE_EQ(run.shard_wall.p50_us, 90.5);
-  EXPECT_DOUBLE_EQ(run.shard_wall.max_us, 512.0);
-  EXPECT_EQ(runs[1].shard_wall.shards, 0u) << "no shard_skew recorded";
+  ASSERT_EQ(run.shard_skew.size(), 1u);
+  const obs::shard_pass_summary& pass = run.shard_skew[0];
+  EXPECT_EQ(pass.span, "toy.shard");
+  EXPECT_EQ(pass.shards, 16u);
+  EXPECT_EQ(pass.min_us, 64u);
+  EXPECT_EQ(pass.p50_us, 90u);
+  EXPECT_EQ(pass.p95_us, 400u);
+  EXPECT_EQ(pass.max_us, 512u);
+  EXPECT_EQ(pass.total_us, 2000u);
+  EXPECT_EQ(pass.topologies, 7u);
+  EXPECT_EQ(pass.stragglers, (std::array<std::uint64_t, 3>{5, 2, 11}));
+  EXPECT_TRUE(runs[1].shard_skew.empty()) << "no shard_skew recorded";
   EXPECT_EQ(run.params_compact(), "n=5 flag=true");
   EXPECT_EQ(run.workload_key(), runs[1].workload_key())
       << "threads must not enter the workload key";
   EXPECT_THROW((void)parse_ledger("not json\n"), precondition_error);
+}
+
+// The per-pass shard_skew field, fed malformed: every case either throws
+// precondition_error naming the ledger line or is ignored; none crashes.
+TEST(LedgerParseTest, MalformedShardSkewFailsCleanly) {
+  const std::string entry_head = R"({"span":"p.shard","shards":2,)";
+  const std::string entry_tail =
+      R"("p95_us":3,"max_us":4,"total_us":5,"topologies":6,)"
+      R"("stragglers":[1,0]})";
+  const auto with_min = [&](const std::string& min_us) {
+    return "[" + entry_head + R"("min_us":)" + min_us + R"(,"p50_us":2,)" +
+           entry_tail + "]";
+  };
+  const auto with_stragglers = [&](const std::string& stragglers) {
+    return "[" + entry_head +
+           R"("min_us":1,"p50_us":2,"p95_us":3,"max_us":4,"total_us":5,)"
+           R"("topologies":6,"stragglers":)" +
+           stragglers + "}]";
+  };
+  struct skew_case {
+    std::string shard_skew;
+    bool throws;
+  };
+  const std::vector<skew_case> cases = {
+      // Not an array: the older object shape and other junk are ignored.
+      {"5", false},
+      {R"("x")", false},
+      {"null", false},
+      {R"({"shards":256,"wall_us":{"min":0,"p50":0,"max":1023}})", false},
+      {"[]", false},
+      // An entry that is not an object.
+      {"[1]", true},
+      {"[[]]", true},
+      {"[null]", true},
+      {R"(["p.shard"])", true},
+      // Missing or non-numeric fields.
+      {"[{}]", true},
+      {"[" + entry_head + entry_tail + "]", true},
+      {R"([{"span":7,"shards":2}])", true},
+      {with_min(R"("12")"), true},
+      {with_min("true"), true},
+      {with_min("null"), true},
+      // Negative, fractional or out-of-range values.
+      {with_min("-1"), true},
+      {with_min("1.5"), true},
+      {with_min("1e30"), true},
+      {with_min("18446744073709551616"), true},
+      {with_min("99999999999999999999999999"), true},
+      // Stragglers that are not a list of integers.
+      {with_stragglers("5"), true},
+      {with_stragglers(R"({"a":1})"), true},
+      {with_stragglers(R"([1,"a"])"), true},
+      {with_stragglers("[-1,0]"), true},
+      {with_stragglers("[[1],0]"), true},
+      {with_stragglers("[0.5,0]"), true},
+      // A list whose length is not min(shards, 3).
+      {with_stragglers("[1]"), true},
+      {with_stragglers("[1,0,2]"), true},
+  };
+  for (const skew_case& c : cases) {
+    const std::string line =
+        R"({"type":"run","scenario":"toy","wall_s":1,"shard_skew":)" +
+        c.shard_skew + "}\n";
+    if (c.throws) {
+      try {
+        (void)parse_ledger(line);
+        ADD_FAILURE() << "accepted: " << c.shard_skew;
+      } catch (const precondition_error& error) {
+        EXPECT_NE(std::string(error.what()).find("ledger line 1"),
+                  std::string::npos)
+            << error.what();
+      }
+    } else {
+      std::vector<ledger_record> runs;
+      EXPECT_NO_THROW(runs = parse_ledger(line)) << c.shard_skew;
+      ASSERT_EQ(runs.size(), 1u);
+      EXPECT_TRUE(runs[0].shard_skew.empty()) << c.shard_skew;
+    }
+  }
+  // The well-formed entry the cases mutate parses, up to the largest
+  // accepted count.
+  const std::vector<ledger_record> runs = parse_ledger(
+      R"({"type":"run","scenario":"toy","wall_s":1,"shard_skew":)" +
+      with_min("9999999999999999999") + "}");
+  ASSERT_EQ(runs.size(), 1u);
+  ASSERT_EQ(runs[0].shard_skew.size(), 1u);
+  EXPECT_EQ(runs[0].shard_skew[0].min_us, 9999999999999999999u);
+  EXPECT_EQ(runs[0].shard_skew[0].straggler_count(), 2u);
+  EXPECT_EQ(runs[0].shard_skew[0].stragglers[0], 1u);
+  EXPECT_EQ(runs[0].shard_skew[0].stragglers[1], 0u);
 }
 
 TEST(LedgerFixtureTest, RecordsTheRealRuns) {
@@ -95,27 +192,57 @@ TEST(LedgerFixtureTest, RecordsTheRealRuns) {
   }
   // n=7: 853 connected topologies, profiled once (the cache fits).
   EXPECT_EQ(runs[0].counter(obs::names::topologies_profiled), 853u);
-  EXPECT_EQ(runs[0].trace_path.empty(), false);
   EXPECT_EQ(runs[1].threads, 2);
   EXPECT_EQ(runs[2].threads, 4);
 }
 
-TEST(LedgerFixtureTest, ShardWallMicrosecondsSpreadAtSmallN) {
-  // n=7 shards take microseconds, not milliseconds: the footer's summary
-  // must still tell the fastest shard from the slowest.
+TEST(LedgerFixtureTest, PerPassShardCountsSumToTheFooter) {
+  // n=7 caches its profiles: pass 1 walks the 128 shards, pass 2 replays
+  // them. Each pass records its own exact skew.
   const std::vector<ledger_record> runs = load_ledger(kLedger);
   for (const ledger_record& run : runs) {
-    EXPECT_EQ(run.shard_wall.shards, run.shards);
-    EXPECT_LE(run.shard_wall.min_us, run.shard_wall.p50_us);
-    EXPECT_LE(run.shard_wall.p50_us, run.shard_wall.max_us);
-    EXPECT_GT(run.shard_wall.max_us, 0.0);
+    ASSERT_EQ(run.shard_skew.size(), 2u);
+    std::uint64_t shards = 0;
+    for (const obs::shard_pass_summary& pass : run.shard_skew) {
+      shards += pass.shards;
+      EXPECT_EQ(pass.shards, 128u);
+      EXPECT_LE(pass.min_us, pass.p50_us);
+      EXPECT_LE(pass.p50_us, pass.p95_us);
+      EXPECT_LE(pass.p95_us, pass.max_us);
+      EXPECT_LE(pass.max_us, pass.total_us);
+      EXPECT_EQ(pass.straggler_count(), 3u);
+    }
+    EXPECT_EQ(shards, run.shards);
+    EXPECT_EQ(run.shard_skew[0].span, "poa.pass1.shard");
+    EXPECT_EQ(run.shard_skew[0].topologies, 853u);
+    EXPECT_EQ(run.shard_skew[1].span, "poa.pass2.shard");
+    EXPECT_EQ(run.shard_skew[1].topologies, 0u) << "pass 2 replays";
   }
-  const text_table table = shard_wall_table(runs);
-  ASSERT_EQ(table.rows().size(), runs.size());
-  EXPECT_EQ(table.headers()[2], "min_us");
-  EXPECT_EQ(table.rows()[0][0], "1");
-  EXPECT_EQ(table.rows()[0][1], std::to_string(runs[0].shards));
-  EXPECT_TRUE(shard_wall_table({ledger_record{}}).rows().empty());
+}
+
+TEST(ShardSkewTableTest, OneRowPerRunAndPass) {
+  const std::vector<ledger_record> runs = load_ledger(kLedger);
+  const text_table table = shard_skew_table(runs);
+  ASSERT_EQ(table.rows().size(), 2 * runs.size());
+  EXPECT_EQ(table.headers(),
+            (std::vector<std::string>{"#", "phase", "shards", "min_ms",
+                                      "p50_ms", "p95_ms", "max_ms", "topo/s",
+                                      "stragglers"}));
+  const obs::shard_pass_summary& pass1 = runs[0].shard_skew[0];
+  const auto& row = table.rows()[0];
+  EXPECT_EQ(row[0], "1");
+  EXPECT_EQ(row[1], "poa.pass1.shard");
+  EXPECT_EQ(row[2], "128");
+  EXPECT_EQ(row[6], fmt_double(static_cast<double>(pass1.max_us) / 1000.0));
+  EXPECT_EQ(row[8], "#" + std::to_string(pass1.stragglers[0]) + " #" +
+                        std::to_string(pass1.stragglers[1]) + " #" +
+                        std::to_string(pass1.stragglers[2]));
+  EXPECT_EQ(table.rows()[1][1], "poa.pass2.shard");
+  EXPECT_EQ(table.rows()[1][7], "-") << "a replay walks no topologies";
+  EXPECT_EQ(table.rows()[2][0], "2");
+  EXPECT_TRUE(shard_skew_table({ledger_record{}}).rows().empty());
+  // The gate baseline's older single-object shard_skew shows no rows.
+  EXPECT_TRUE(shard_skew_table(load_ledger(kGateBaseline)).rows().empty());
 }
 
 TEST(FunnelTest, RowsAreConsistentWithTheCounters) {
@@ -124,7 +251,6 @@ TEST(FunnelTest, RowsAreConsistentWithTheCounters) {
   const std::uint64_t candidates =
       run.counter(obs::names::orderly_candidates);
   ASSERT_GT(candidates, 0u);
-  // The fixture predates the refine-reject split, so its refine row is 0.
   EXPECT_EQ(candidates,
             run.counter(obs::names::orderly_prefilter_rejects) +
                 run.counter(obs::names::orderly_refine_rejects) +
@@ -140,74 +266,31 @@ TEST(FunnelTest, RowsAreConsistentWithTheCounters) {
   EXPECT_EQ(funnel.rows()[4][1],
             std::to_string(run.counter(obs::names::orderly_accepts)));
 
-  // The n = 7 funnel with the split: most orbit rejects happen right
-  // after refinement, and most accepts need no branch search.
-  ledger_record split;
-  split.counters = {{obs::names::orderly_accepts, 1252},
-                    {obs::names::orderly_candidates, 5759},
-                    {obs::names::orderly_orbit_rejects, 2},
-                    {obs::names::orderly_prefilter_rejects, 4119},
-                    {obs::names::orderly_refine_rejects, 386},
-                    {obs::names::orderly_searches, 559}};
-  const text_table split_funnel = generator_funnel_table(split);
-  ASSERT_EQ(split_funnel.rows().size(), 6u);
-  EXPECT_EQ(split_funnel.rows()[2][0], "refine rejects");
-  EXPECT_EQ(split_funnel.rows()[2][1], "386");
-  EXPECT_EQ(split_funnel.rows()[3][0], "orbit rejects");
-  EXPECT_EQ(split_funnel.rows()[3][1], "2");
-  EXPECT_EQ(split_funnel.rows()[5][0], "branch searches");
-  EXPECT_EQ(split_funnel.rows()[5][1], "559");
+  // At n = 7 most orbit rejects happen right after refinement, and most
+  // accepts need no branch search.
+  EXPECT_EQ(funnel.rows()[2][0], "refine rejects");
+  EXPECT_EQ(funnel.rows()[2][1], "386");
+  EXPECT_EQ(funnel.rows()[3][0], "orbit rejects");
+  EXPECT_EQ(funnel.rows()[3][1], "2");
+  EXPECT_EQ(funnel.rows()[5][0], "branch searches");
+  EXPECT_EQ(funnel.rows()[5][1], "559");
 
   // A run with no generator counters yields an empty funnel.
   ledger_record bare;
   EXPECT_TRUE(generator_funnel_table(bare).rows().empty());
 }
 
-TEST(TraceShardsTest, ExtractsAndSummarizesSpans) {
-  const std::vector<shard_span> spans =
-      parse_trace_shards(read_file(kTrace, "test"));
-  ASSERT_FALSE(spans.empty());
-
-  const std::vector<shard_phase_stats> phases =
-      summarize_shard_phases(spans, 3);
-  ASSERT_FALSE(phases.empty());
-  bool saw_pass1 = false;
-  for (const shard_phase_stats& stats : phases) {
-    if (stats.phase == "poa.pass1.shard") {
-      saw_pass1 = true;
-      // The streaming engine plans a fixed 128-way shard split.
-      EXPECT_EQ(stats.shards, 128u);
-      EXPECT_GT(stats.topologies, 0u);
-    }
-    EXPECT_LE(stats.min_ms, stats.p50_ms);
-    EXPECT_LE(stats.p50_ms, stats.p95_ms);
-    EXPECT_LE(stats.p95_ms, stats.max_ms);
-    EXPECT_EQ(stats.stragglers.size(), std::min<std::size_t>(3, stats.shards));
-  }
-  EXPECT_TRUE(saw_pass1);
-
-  const text_table table = shard_skew_table(phases);
-  ASSERT_EQ(table.rows().size(), phases.size());
-  EXPECT_EQ(table.headers()[0], "phase");
-  EXPECT_EQ(table.rows()[0][1], std::to_string(phases[0].shards));
-  EXPECT_EQ(table.rows()[0][7],
-            "#" + std::to_string(phases[0].stragglers[0]) + " #" +
-                std::to_string(phases[0].stragglers[1]) + " #" +
-                std::to_string(phases[0].stragglers[2]));
-}
-
-TEST(MetricsFixtureTest, HistogramsCarryInterpolatedEstimates) {
+TEST(MetricsFixtureTest, CountersMatchTheLedgerRun) {
+  // The metrics file is the first run's whole registry; in a fresh process
+  // that equals the ledger's counter delta, and it carries no histograms.
   const json_value metrics = json_value::parse(read_file(kMetrics, "test"));
-  const json_value& histograms = metrics.at("metrics").at("histograms");
-  const json_value& shard_wall = histograms.at(obs::names::shard_wall_us);
-  EXPECT_GT(shard_wall.at("count").as_uint(), 0u);
-  // The interpolated estimates sit inside [min, max] and respect the raw
-  // bucket-upper-bound percentiles.
-  const double p50_est = shard_wall.at("p50_est").as_double();
-  const double p99_est = shard_wall.at("p99_est").as_double();
-  EXPECT_GE(p50_est, static_cast<double>(shard_wall.at("min").as_uint()));
-  EXPECT_LE(p99_est, static_cast<double>(shard_wall.at("max").as_uint()) + 1);
-  EXPECT_LE(p50_est, static_cast<double>(shard_wall.at("p50").as_uint()));
+  const json_value& registry = metrics.at("metrics");
+  EXPECT_EQ(registry.find("histograms"), nullptr);
+  const ledger_record run = load_ledger(kLedger)[0];
+  ASSERT_FALSE(run.counters.empty());
+  for (const auto& [name, value] : run.counters) {
+    EXPECT_EQ(registry.at("counters").at(name).as_uint(), value) << name;
+  }
 }
 
 TEST(ScalingFitTest, GroupsThreadSweepsAndFits) {
@@ -322,8 +405,8 @@ TEST(ReportMainTest, RendersSkewFunnelAndScaling) {
   EXPECT_NE(text.find("run ledger:"), std::string::npos) << text;
   EXPECT_NE(text.find("orderly generator funnel"), std::string::npos) << text;
   EXPECT_NE(text.find("shard skew"), std::string::npos) << text;
-  EXPECT_NE(text.find("shard wall time"), std::string::npos) << text;
   EXPECT_NE(text.find("poa.pass1.shard"), std::string::npos) << text;
+  EXPECT_NE(text.find("poa.pass2.shard"), std::string::npos) << text;
   EXPECT_NE(text.find("scaling:"), std::string::npos) << text;
   EXPECT_NE(text.find("fit: wall ~ threads^"), std::string::npos) << text;
 }

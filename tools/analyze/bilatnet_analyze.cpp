@@ -1687,7 +1687,7 @@ void check_metric_name_literal(const source_file& file,
                                std::vector<violation>& out) {
   if (file.rel.starts_with("src/obs/metrics.")) return;
   static const std::regex metric_re(
-      R"((get_counter|get_gauge|get_histogram|counter_ref|gauge_ref|histogram_ref)\s*\(\s*")");
+      R"((get_counter|get_gauge|counter_ref|gauge_ref)\s*\(\s*")");
   // The telemetry consumers read canonical names back out of serialized
   // artifacts; a quoted name there drifts the day a producer renames it.
   static const std::regex name_literal_re(
