@@ -37,108 +37,226 @@ long long single_flip_table::distance_total() const {
   return total;
 }
 
+namespace {
+
+constexpr int lanes_per_block = 16;
+constexpr int max_blocks = max_vertices / lanes_per_block;
+/// The distance lane of a vertex not reached: above every hop count
+/// (<= 63), and small enough that e(x) + e(y) + 2 stays within a byte.
+constexpr std::uint8_t unreached = max_vertices;
+static_assert(2 * unreached + 2 <= 255, "the via term must fit a byte lane");
+
+using block_words = std::uint64_t __attribute__((vector_size(16)));
+using block_array = std::array<distance_block, max_blocks>;
+
+[[nodiscard]] int blocks_for(int n) {
+  return (n + lanes_per_block - 1) / lanes_per_block;
+}
+
+[[nodiscard]] distance_block splat(std::uint8_t value) {
+  return distance_block{} + value;
+}
+
+[[nodiscard]] distance_block min_of(distance_block x, distance_block y) {
+  return x < y ? x : y;
+}
+
+[[nodiscard]] distance_block max_of(distance_block x, distance_block y) {
+  return x < y ? y : x;
+}
+
+/// max(0, x - y) lane by lane, without wrapping.
+[[nodiscard]] distance_block excess(distance_block x, distance_block y) {
+  return x - min_of(x, y);
+}
+
+/// Sum of the sixteen lanes. Requires every lane <= 127, so the two
+/// halves add bytewise without a carry; nothing wraps.
+[[nodiscard]] long long lane_sum(distance_block x) {
+  constexpr std::uint64_t even_bytes = 0x00FF00FF00FF00FFULL;
+  const auto words = reinterpret_cast<block_words>(x);
+  std::uint64_t sum = words[0] + words[1];
+  sum = (sum & even_bytes) + ((sum >> 8) & even_bytes);
+  sum += sum >> 16;
+  sum += sum >> 32;
+  return static_cast<long long>(sum & 0xFFFF);
+}
+
+[[nodiscard]] bool any_lane(distance_block x) {
+  const auto words = reinterpret_cast<block_words>(x);
+  return (words[0] | words[1]) != 0;
+}
+
+/// Extend the distance rows of the graph on vertices 0..k-1 (`from`, k
+/// rows) to vertex k attached to `attached` (a subset of 0..k-1), writing
+/// k + 1 rows to `to`; `to` may be `from`. Through k, x reaches y in
+/// e(x) + 1 + 1 + e(y) hops, e(x) being x's distance to the nearest
+/// attachment; a shortest path visits k at most once.
+void extend_rows(const distance_block* from, distance_block* to, int k,
+                 std::uint64_t attached, int blocks) {
+  const auto stride = static_cast<std::size_t>(blocks);
+  block_array nearest;
+  nearest.fill(splat(unreached));
+  for_each_bit(attached, [&](int s) {
+    const distance_block* row = from + static_cast<std::size_t>(s) * stride;
+    for (std::size_t j = 0; j < stride; ++j) {
+      nearest[j] = min_of(nearest[j], row[j]);
+    }
+  });
+  // Row k holds d(k, x) = e(x) + 1, written lane by lane with column k.
+  distance_block* row_k = to + static_cast<std::size_t>(k) * stride;
+  std::fill(row_k, row_k + stride, distance_block{});
+  const auto new_block = static_cast<std::size_t>(k / lanes_per_block);
+  const int new_lane = k % lanes_per_block;
+  for (int x = 0; x < k; ++x) {
+    const auto block = static_cast<std::size_t>(x / lanes_per_block);
+    const int lane = x % lanes_per_block;
+    const std::uint8_t e = nearest[block][lane];
+    // e <= unreached, so e + 2 and every via lane stay below 256; lanes
+    // past k keep the prefix's 0. An unreached d_P is already the bound.
+    const std::uint8_t via = static_cast<std::uint8_t>(e + 2);
+    const distance_block* in = from + static_cast<std::size_t>(x) * stride;
+    distance_block* out = to + static_cast<std::size_t>(x) * stride;
+    for (std::size_t j = 0; j < stride; ++j) {
+      out[j] = min_of(in[j], nearest[j] + via);
+    }
+    const auto hop =
+        static_cast<std::uint8_t>(std::min(e + 1, int{unreached}));
+    out[new_block][new_lane] = hop;
+    row_k[block][lane] = hop;
+  }
+}
+
+}  // namespace
+
 void measure_single_flips(const graph& g, single_flip_table& table) {
   const int n = g.order();
   const auto count = static_cast<std::size_t>(n);
-  const std::uint64_t all = g.vertex_mask();
   table.n = n;
   table.connected = true;
+  table.alpha_min = 0;
+  table.alpha_max = infinite_delta;
+  table.boundary_stable = true;
   table.base.resize(count);
-  table.balls.resize(count * count);
+  table.delta.resize(count * count);
+  if (n == 0) return;
 
-  // One BFS per vertex, keeping its balls: balls[v * n + k] is the set
-  // within k hops of v, filled to `all` from v's eccentricity on.
-  std::array<int, max_vertices> ecc{};
-  for (int v = 0; v < n; ++v) {
-    std::uint64_t* ball =
-        table.balls.data() + static_cast<std::size_t>(v) * count;
-    std::uint64_t visited = bit(v);
-    std::uint64_t frontier = visited;
-    long long sum = 0;
-    int depth = 0;
-    ball[0] = visited;
-    while (true) {
-      std::uint64_t next = 0;
-      for_each_bit(frontier, [&](int w) { next |= g.neighbors(w); });
-      next &= ~visited;
-      if (next == 0) break;
-      ++depth;
-      visited |= next;
-      sum += static_cast<long long>(depth) * popcount(next);
-      ball[depth] = visited;
-      frontier = next;
+  // g's rows from its prefix's: rebuilt, vertex by vertex, only when the
+  // prefix (the first n - 1 vertices and the links among them) changed.
+  const int blocks = blocks_for(n);
+  const auto stride = static_cast<std::size_t>(blocks);
+  const int last = n - 1;
+  const auto prefix_count = static_cast<std::size_t>(last);
+  const std::uint64_t prefix_mask = low_bits(last);
+  bool same_prefix = table.prefix_adjacency.size() == prefix_count;
+  for (int v = 0; v < last && same_prefix; ++v) {
+    same_prefix = table.prefix_adjacency[static_cast<std::size_t>(v)] ==
+                  (g.neighbors(v) & prefix_mask);
+  }
+  if (!same_prefix) {
+    table.prefix_rows.resize(prefix_count * stride);
+    table.prefix_adjacency.resize(prefix_count);
+    for (int v = 0; v < last; ++v) {
+      const std::uint64_t row = g.neighbors(v) & prefix_mask;
+      table.prefix_adjacency[static_cast<std::size_t>(v)] = row;
+      extend_rows(table.prefix_rows.data(), table.prefix_rows.data(), v,
+                  row & low_bits(v), blocks);
     }
-    ecc[static_cast<std::size_t>(v)] = depth;
-    std::fill(ball + depth + 1, ball + count, visited);
+  }
+  table.rows.resize(count * stride);
+  extend_rows(table.prefix_rows.data(), table.rows.data(), last,
+              g.neighbors(last), blocks);
+
+  const auto row_of = [&](int v) -> const distance_block* {
+    return table.rows.data() + static_cast<std::size_t>(v) * stride;
+  };
+  for (int v = 0; v < n; ++v) {
+    const distance_block* row = row_of(v);
+    long long sum = 0;
+    for (std::size_t j = 0; j < stride; ++j) {
+      const auto far = row[j] == splat(unreached);
+      if (any_lane(reinterpret_cast<distance_block>(far))) {
+        table.connected = false;
+      }
+      sum += lane_sum(far ? distance_block{} : row[j]);
+    }
     table.base[static_cast<std::size_t>(v)] = sum;
-    if (visited != all) table.connected = false;
   }
   if (!table.connected) return;
 
-  const auto ball_of = [&](int v) -> const std::uint64_t* {
-    return table.balls.data() + static_cast<std::size_t>(v) * count;
-  };
-  std::array<std::uint64_t, max_vertices> any{};
-  std::array<std::uint64_t, max_vertices> two{};
-  table.delta.resize(count * count);
+  const std::uint64_t all = g.vertex_mask();
   for (int a = 0; a < n; ++a) {
-    const std::uint64_t row = g.neighbors(a);
-    const int depth = ecc[static_cast<std::size_t>(a)];
-    const std::uint64_t* ball_a = ball_of(a);
+    const std::uint64_t adjacency = g.neighbors(a);
+    const distance_block* row_a = row_of(a);
     long long* deltas =
         table.delta.data() + static_cast<std::size_t>(a) * count;
     deltas[static_cast<std::size_t>(a)] = 0;
 
-    // Adding (a, b) makes d'(a, x) = min(d(a, x), 1 + d(b, x)), so a saves
-    // max(0, d(a, x) - 1 - d(b, x)) on x: one unit for every depth k with
-    // x within k - 1 hops of b but farther than k from a.
-    for_each_bit(all & ~row & ~bit(a), [&](int b) {
-      const std::uint64_t* ball_b = ball_of(b);
-      long long saving = 0;
-      for (int k = 1; k <= depth; ++k) {
-        saving += popcount(ball_b[k - 1] & ~ball_a[k]);
+    // Adding (a, b), b > a, for both endpoints at once: d'(a, x) =
+    // min(d(a, x), 1 + d(b, x)), so a saves max(0, d(a, x) - 1 - d(b, x)).
+    // The record's alpha_min is the largest least-interested saving; the
+    // boundary is open when some link attaining it saves asymmetrically.
+    for_each_bit(all & ~adjacency & ~low_bits(a + 1), [&](int b) {
+      const distance_block* row_b = row_of(b);
+      long long save_a = 0;
+      long long save_b = 0;
+      for (std::size_t j = 0; j < stride; ++j) {
+        save_a += lane_sum(excess(row_a[j], row_b[j] + std::uint8_t{1}));
+        save_b += lane_sum(excess(row_b[j], row_a[j] + std::uint8_t{1}));
       }
-      deltas[static_cast<std::size_t>(b)] = saving;
+      deltas[static_cast<std::size_t>(b)] = save_a;
+      table.delta[static_cast<std::size_t>(b) * count +
+                  static_cast<std::size_t>(a)] = save_b;
+      const long long least = std::min(save_a, save_b);
+      if (least > table.alpha_min) {
+        table.alpha_min = least;
+        table.boundary_stable = true;
+      }
+      if (least == table.alpha_min && save_a != save_b) {
+        table.boundary_stable = false;
+      }
     });
 
-    // Deleting (a, b) when the edge lies in a triangle a-b-c: every x
-    // keeps a neighbour of a other than b within d(a, x) hops (the first
-    // hop of a shortest path, or c when that hop is b). Such a neighbour
-    // has no shortest path to x through a, so it survives the cut, and no
-    // distance from a grows by more than one. The x at depth k that do
-    // grow are those no neighbour other than b reaches within k - 1 hops:
-    // outside u = {a} | two[k] | (any[k] & ~ball_b[k - 1]), where any[k] /
-    // two[k] hold what at least one / two neighbours of a reach. An edge
-    // in no triangle (bridges included) costs one row-replacement BFS.
-    for (int k = 1; k <= depth; ++k) {
-      any[static_cast<std::size_t>(k)] = 0;
-      two[static_cast<std::size_t>(k)] = 0;
-    }
-    for_each_bit(row, [&](int c) {
-      const std::uint64_t* ball_c = ball_of(c);
-      for (int k = 1; k <= depth; ++k) {
-        const auto kk = static_cast<std::size_t>(k);
-        two[kk] |= any[kk] & ball_c[k - 1];
-        any[kk] |= ball_c[k - 1];
+    // Deleting (a, b) when the edge lies in a triangle a-b-c: a's new
+    // distances are 1 + the minimum over its other neighbours' rows. A
+    // neighbour c minimizing d(c, x) has a shortest path to x that avoids
+    // the edge: a walk from c over b then a is at least 2 + d(a, x) >
+    // d(c, x) long, and one over a then b is 2 + d(b, x) > d(c', x) >=
+    // d(c, x) long for the triangle's c'. Lane by lane, that minimum is the
+    // smallest neighbour row's, or the second smallest where b's row is
+    // the smallest. Lane a of it is 1, so the new sum is (n - 1) +
+    // sum(minimum) - 1. An edge in no triangle (bridges included) costs
+    // one row-replacement BFS.
+    block_array smallest;
+    block_array second;
+    smallest.fill(splat(0xFF));
+    second.fill(splat(0xFF));
+    for_each_bit(adjacency, [&](int c) {
+      const distance_block* row_c = row_of(c);
+      for (std::size_t j = 0; j < stride; ++j) {
+        second[j] = min_of(second[j], max_of(smallest[j], row_c[j]));
+        smallest[j] = min_of(smallest[j], row_c[j]);
       }
     });
     const long long base = table.base[static_cast<std::size_t>(a)];
-    for_each_bit(row, [&](int b) {
+    for_each_bit(adjacency, [&](int b) {
       long long increase = 0;
-      if ((row & g.neighbors(b)) == 0) {
+      if ((adjacency & g.neighbors(b)) == 0) {
         const distance_summary cut =
-            distance_sum_with_row(g, a, row & ~bit(b));
+            distance_sum_with_row(g, a, adjacency & ~bit(b));
         increase = cut.unreached > 0 ? infinite_delta : cut.sum - base;
       } else {
-        const std::uint64_t* ball_b = ball_of(b);
-        for (int k = 1; k <= depth; ++k) {
-          const auto kk = static_cast<std::size_t>(k);
-          const std::uint64_t reached =
-              bit(a) | two[kk] | (any[kk] & ~ball_b[k - 1]);
-          increase += popcount(ball_a[k] & ~reached);
+        const distance_block* row_b = row_of(b);
+        long long sum = 0;
+        for (std::size_t j = 0; j < stride; ++j) {
+          sum += lane_sum(row_b[j] == smallest[j] ? second[j] : smallest[j]);
         }
+        increase = n - 2 + sum - base;
       }
       deltas[static_cast<std::size_t>(b)] = increase;
+      if (increase < infinite_delta) {
+        table.alpha_max = std::min(table.alpha_max, increase);
+      }
     });
   }
 }
@@ -155,33 +273,11 @@ stability_record compute_stability_record(const graph& g,
           "compute_stability_record: requires a connected graph");
   expects(flips.n == g.order(),
           "compute_stability_record: flip table of another order");
-  stability_record record{0.0, std::numeric_limits<double>::infinity(), true};
-  // alpha_min is the largest least-interested saving over missing links;
-  // the boundary is open when some link attaining it has asymmetric
-  // savings. alpha_max is the smallest binding severance cost.
-  long long alpha_min = 0;
-  for (int u = 0; u < g.order(); ++u) {
-    const std::uint64_t later = g.vertex_mask() & ~low_bits(u + 1);
-    for_each_bit(later & ~g.neighbors(u), [&](int v) {
-      const long long dec_u = flips.at(u, v);
-      const long long dec_v = flips.at(v, u);
-      const long long least = std::min(dec_u, dec_v);
-      if (least > alpha_min) {
-        alpha_min = least;
-        record.boundary_stable = true;
-      }
-      if (least == alpha_min && dec_u != dec_v) record.boundary_stable = false;
-    });
-    for_each_bit(later & g.neighbors(u), [&](int v) {
-      const long long binding = std::min(flips.at(u, v), flips.at(v, u));
-      if (binding < infinite_delta) {
-        record.alpha_max =
-            std::min(record.alpha_max, static_cast<double>(binding));
-      }
-    });
-  }
-  record.alpha_min = static_cast<double>(alpha_min);
-  return record;
+  return {static_cast<double>(flips.alpha_min),
+          flips.alpha_max < infinite_delta
+              ? static_cast<double>(flips.alpha_max)
+              : std::numeric_limits<double>::infinity(),
+          flips.boundary_stable};
 }
 
 stability_interval compute_stability_interval(const graph& g) {

@@ -26,35 +26,60 @@ namespace bnf {
 /// across components). Large enough to dominate, small enough to add.
 inline constexpr long long infinite_delta = 1LL << 40;
 
+/// Sixteen byte lanes, one hop distance each (a GCC/Clang vector, so the
+/// lane-wise min, add and compare below compile to single SIMD ops
+/// wherever the target has them).
+using distance_block = std::uint8_t __attribute__((vector_size(16)));
+
 /// Every single-link toggle of one graph, measured once: the distance sum
 /// of each vertex plus, for every ordered pair (a, b), the change to a's
 /// sum when a toggles its link to b (toggling a link incident to a only
-/// changes a's own row). One BFS per vertex keeps its balls, ball_v[k] =
-/// the vertices within k hops of v, and the entries are read off them:
-///   * adding (a, b) saves sum_k popcount(ball_b[k-1] & ~ball_a[k]);
-///   * deleting an edge (a, b) that lies in a triangle costs
-///     sum_k popcount(ball_a[k] & ~U_k), where U_k is a plus every vertex
-///     within k-1 hops of some neighbour of a other than b (no distance
-///     from a grows by more than one);
+/// changes a's own row). Each vertex's distances are a row of bytes, one
+/// distance_block per 16 vertices, and the entries are read off the rows:
+///   * adding (a, b) saves sum_x max(0, d(a, x) - 1 - d(b, x));
+///   * deleting an edge (a, b) that lies in a triangle moves a to
+///     d'(a, x) = 1 + min over a's other neighbours c of d(c, x) (a
+///     shortest path from such a minimizing c never uses the edge), read
+///     from the lane-wise smallest and second smallest of a's neighbour
+///     rows;
 ///   * deleting an edge in no triangle (bridges included) costs one
 ///     row-replacement BFS (graph/paths.hpp).
+/// The rows of g are derived from the rows of its prefix P (vertices
+/// 0..n-2): with S = N(n-1) and e(x) = min over s in S of d_P(x, s),
+///   d(x, y) = min(d_P(x, y), e(x) + e(y) + 2),  d(x, n-1) = e(x) + 1.
+/// The table keeps the last prefix's adjacency and rows and rebuilds them
+/// (vertex by vertex, by the same step) only when g's prefix differs, so
+/// a stream of siblings, graphs that differ only in the last vertex's
+/// links, pays for its prefix once. The stability record's alpha_min,
+/// alpha_max and boundary flag are accumulated in the same sweep.
 /// Shared by the BCG stability record, the distance total and the UCG
 /// region search's root window and seeds.
 struct single_flip_table {
   int n{0};
-  /// False when some base BFS left a vertex unreached; the deltas are
-  /// then not measured.
+  /// False when some vertex does not reach every other; the deltas and
+  /// the record are then not measured.
   bool connected{true};
-  /// base[v] = sum_j d(v, j).
+  /// base[v] = sum_j d(v, j) over the vertices v reaches.
   std::vector<long long> base;
   /// delta[a * n + b], a != b: edge_deletion_increase(g, a, b) when (a, b)
   /// is an edge (infinite_delta on a bridge), edge_addition_decrease(g, a,
   /// b) otherwise.
   std::vector<long long> delta;
-  /// Working storage: balls[v * n + k] is the set of vertices within k
-  /// hops of v (all of them past v's eccentricity). Kept here so a reused
-  /// table measures without allocating or zeroing.
-  std::vector<std::uint64_t> balls;
+  /// The stability record (compute_stability_record): the largest
+  /// least-interested saving over missing links, the smallest finite
+  /// severance increase (infinite_delta when every edge is a bridge), and
+  /// whether every missing link attaining alpha_min saves both endpoints
+  /// the same.
+  long long alpha_min{0};
+  long long alpha_max{infinite_delta};
+  bool boundary_stable{true};
+  /// Working storage, kept so a reused table measures without allocating:
+  /// g's distance rows, and the cached prefix's adjacency (masked to the
+  /// prefix) and distance rows. Row v is blocks [v * B, (v + 1) * B),
+  /// B = ceil(n / 16); lanes past the order hold 0.
+  std::vector<distance_block> rows;
+  std::vector<std::uint64_t> prefix_adjacency;
+  std::vector<distance_block> prefix_rows;
 
   [[nodiscard]] long long at(int a, int b) const {
     return delta[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +

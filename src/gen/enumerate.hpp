@@ -93,7 +93,11 @@ class enumeration_plan {
   /// construction labels: isomorphic to the class's canonical graph but
   /// not, in general, equal to it. Canonicalize it (canonical_form,
   /// canonical_key64) when a canonical key or labeling is needed, as
-  /// for_each_key does.
+  /// for_each_key does. Siblings (the children of one parent) arrive one
+  /// after another, each with the new vertex last, so consecutive graphs
+  /// usually share their first order() - 1 vertices and the links among
+  /// them. The single-flip table's speed relies on this (it reuses the
+  /// last prefix's distance rows); its correctness does not.
   using class_fn = std::function<void(const graph& g)>;
 
   /// Requires 0 <= n <= max_enumeration_order and shard_count >= 1.

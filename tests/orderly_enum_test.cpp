@@ -196,9 +196,13 @@ TEST(OrderlyEnumTest, ShardsAreDisjointAndCoverTheLevel) {
 // must hand over exactly the connected classes. Through n = 7 the kernel's
 // profile of the handed graph must equal that of the decoded key in every
 // isomorphism-invariant field (the region search's work counts follow the
-// labels and may differ).
+// labels and may differ). The handed stream keeps one workspace, as a
+// census worker does, so a sibling's flip table reuses the cached prefix
+// rows; the decoded graphs keep another and, relabeled, mostly rebuild
+// them. Every class thus compares the sibling path with the rebuild path.
 TEST(OrderlyEnumTest, HandedGraphIsTheDecodedKeyInKeyOrder) {
-  profile_workspace scratch;
+  profile_workspace handed_scratch;
+  profile_workspace decoded_scratch;
   for (const bool connected_only : {true, false}) {
     for (int n = 1; n <= 8; ++n) {
       const enumeration_plan plan(n, 16, {.connected_only = connected_only});
@@ -218,9 +222,10 @@ TEST(OrderlyEnumTest, HandedGraphIsTheDecodedKeyInKeyOrder) {
               }
               if (!profiled) return;
               const topology_profile built =
-                  profile_topology(g, true, {}, scratch);
-              const topology_profile decoded = profile_topology(
-                  graph::from_key64(n, handed.back()), true, {}, scratch);
+                  profile_topology(g, true, {}, handed_scratch);
+              const topology_profile decoded =
+                  profile_topology(graph::from_key64(n, handed.back()), true,
+                                   {}, decoded_scratch);
               ASSERT_EQ(built.edges, decoded.edges) << to_string(g);
               ASSERT_EQ(built.distance_total, decoded.distance_total)
                   << to_string(g);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gen/enumerate.hpp"
@@ -12,6 +14,7 @@
 #include "graph/canonical.hpp"
 #include "graph/paths.hpp"
 #include "testing.hpp"
+#include "util/bitops.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
 
@@ -302,12 +305,11 @@ TEST(PairwiseStabilityTest, RequiresPositiveAlpha) {
   EXPECT_THROW((void)is_pairwise_stable(star(4), -1.0), precondition_error);
 }
 
-/// Every entry of g's single-flip table against the graph-copying deltas,
-/// which share no code with the table's row-replacement BFS. Returns the
-/// number of bridge entries seen.
-int expect_table_matches_graph_copies(const graph& g) {
-  single_flip_table flips;
-  measure_single_flips(g, flips);
+/// Every entry of `flips`, measured for g, against the graph-copying
+/// deltas, which share no code with the table's rows or its
+/// row-replacement BFS. Returns the number of bridge entries seen.
+int expect_entries_match_graph_copies(const graph& g,
+                                      const single_flip_table& flips) {
   EXPECT_TRUE(flips.connected) << to_string(g);
   EXPECT_EQ(flips.n, g.order());
   EXPECT_EQ(flips.distance_total(), total_distance(g).sum) << to_string(g);
@@ -324,6 +326,13 @@ int expect_table_matches_graph_copies(const graph& g) {
     }
   }
   return bridges;
+}
+
+/// The same check on a fresh table.
+int expect_table_matches_graph_copies(const graph& g) {
+  single_flip_table flips;
+  measure_single_flips(g, flips);
+  return expect_entries_match_graph_copies(g, flips);
 }
 
 TEST(SingleFlipTableTest, MatchesGraphCopyingDeltasOnEveryClassUpToN7) {
@@ -486,6 +495,176 @@ TEST(SingleFlipTableTest, DisconnectedGraphsAreFlagged) {
   measure_single_flips(path(5), flips);
   EXPECT_THROW((void)compute_stability_record(path(4), flips),
                precondition_error);
+}
+
+// Sibling streams: one reused table measures graph after graph, so its
+// rows come from the cached prefix whenever the prefix repeats. Each
+// measurement must equal a fresh table's field for field.
+void expect_same_table(const single_flip_table& reused,
+                       const single_flip_table& fresh, const graph& g) {
+  ASSERT_EQ(reused.n, fresh.n) << to_string(g);
+  ASSERT_EQ(reused.connected, fresh.connected) << to_string(g);
+  EXPECT_EQ(reused.connected, is_connected(g)) << to_string(g);
+  EXPECT_EQ(reused.base, fresh.base) << to_string(g);
+  if (!fresh.connected) return;
+  EXPECT_EQ(reused.delta, fresh.delta) << to_string(g);
+  EXPECT_EQ(reused.alpha_min, fresh.alpha_min) << to_string(g);
+  EXPECT_EQ(reused.alpha_max, fresh.alpha_max) << to_string(g);
+  EXPECT_EQ(reused.boundary_stable, fresh.boundary_stable) << to_string(g);
+}
+
+/// Measure g into the stream's reused table and check it against a fresh
+/// table; with `oracles`, also every entry against the graph-copying
+/// deltas and the folded record against the Definition-3 oracle.
+void feed(single_flip_table& reused, const graph& g, bool oracles) {
+  measure_single_flips(g, reused);
+  single_flip_table fresh;
+  measure_single_flips(g, fresh);
+  expect_same_table(reused, fresh, g);
+  if (!oracles || !reused.connected) return;
+  (void)expect_entries_match_graph_copies(g, reused);
+  EXPECT_EQ(to_alpha_interval(compute_stability_record(g, reused)),
+            naive_bcg_interval(g))
+      << to_string(g);
+}
+
+/// `parent` plus a last vertex attached to `attached`.
+graph child_of(const graph& parent, std::uint64_t attached) {
+  graph child = parent.with_vertex();
+  for_each_bit(attached, [&](int s) { child.add_edge(parent.order(), s); });
+  return child;
+}
+
+TEST(SingleFlipTableTest, SiblingStreamsMatchOnEveryAttachmentUpToN7) {
+  // Every attachment set of every class on up to 6 vertices, connected or
+  // not, streamed parent by parent through one table: every child on up
+  // to 7 vertices, with the order and the parent changing between runs.
+  single_flip_table reused;
+  long long children = 0;
+  long long connected = 0;
+  for (int k = 0; k <= 6; ++k) {
+    for_each_graph(
+        k,
+        [&](const graph& parent) {
+          for_each_subset(parent.vertex_mask(), [&](std::uint64_t attached) {
+            const graph child = child_of(parent, attached);
+            feed(reused, child, true);
+            ++children;
+            if (reused.connected) ++connected;
+          });
+        },
+        {.connected_only = false});
+  }
+  // sum over k = 0..6 of 2^k * A000088(k).
+  EXPECT_EQ(children, 1 + 2 + 2 * 4 + 4 * 8 + 11 * 16 + 34 * 32 + 156 * 64);
+  EXPECT_GT(connected, 0);
+}
+
+// A random graph on n vertices with `parts` components: each a random
+// recursive tree over its vertices plus chords with probability
+// `density`, the vertices spread over the parts at random.
+graph random_parent(rng& random, int n, int parts, double density) {
+  std::vector<int> part(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    part[static_cast<std::size_t>(v)] =
+        v < parts ? v
+                  : static_cast<int>(
+                        random.below(static_cast<std::uint64_t>(parts)));
+  }
+  random.shuffle(std::span<int>(part));
+  graph g(n);
+  for (int v = 0; v < n; ++v) {
+    std::vector<int> earlier;
+    for (int u = 0; u < v; ++u) {
+      if (part[static_cast<std::size_t>(u)] ==
+          part[static_cast<std::size_t>(v)]) {
+        earlier.push_back(u);
+      }
+    }
+    if (earlier.empty()) continue;
+    g.add_edge(earlier[random.below(earlier.size())], v);
+    for (const int u : earlier) {
+      if (!g.has_edge(u, v) && random.uniform_real() < density) {
+        g.add_edge(u, v);
+      }
+    }
+  }
+  return g;
+}
+
+// Sampled sibling runs on random parents of `lo`..`hi` vertices, one
+// component in two: each run has the empty attachment (a disconnected
+// child), one vertex, and random sets of several densities, so the runs
+// join, extend and miss the parent's components.
+void expect_sampled_sibling_streams(rng& random, int lo, int hi,
+                                    int parents, bool oracles) {
+  single_flip_table reused;
+  int connected = 0;
+  int disconnected = 0;
+  for (int p = 0; p < parents; ++p) {
+    const int n = lo + static_cast<int>(random.below(
+                           static_cast<std::uint64_t>(hi - lo + 1)));
+    const int parts =
+        p % 2 == 0 ? 1 : 2 + static_cast<int>(random.below(2));
+    const graph parent =
+        random_parent(random, n, parts, 0.05 + 0.5 * random.uniform_real());
+    const auto one = static_cast<int>(
+        random.below(static_cast<std::uint64_t>(n)));
+    std::vector<std::uint64_t> sets{0, bit(one)};
+    for (const double density : {0.1, 0.3, 0.6, 0.9}) {
+      std::uint64_t attached = 0;
+      for (int v = 0; v < n; ++v) {
+        if (random.uniform_real() < density) attached |= bit(v);
+      }
+      sets.push_back(attached);
+    }
+    for (const std::uint64_t attached : sets) {
+      feed(reused, child_of(parent, attached), oracles);
+      (reused.connected ? connected : disconnected) += 1;
+    }
+  }
+  EXPECT_GT(connected, 0);
+  EXPECT_GT(disconnected, 0);
+}
+
+TEST(SingleFlipTableTest, SampledSiblingStreamsOnParentsOf8To16Vertices) {
+  // Children of 9..17 vertices: one block, or two at 17.
+  rng random = testing::seeded_rng();
+  expect_sampled_sibling_streams(random, 8, 16, 120, true);
+}
+
+TEST(SingleFlipTableTest, SampledSiblingStreamsOnParentsOf17To63Vertices) {
+  // Children of 18..64 vertices: rows of two to four blocks. The oracles
+  // take a graph copy and a BFS per entry, so they run on the first
+  // parents only.
+  rng random = testing::seeded_rng();
+  expect_sampled_sibling_streams(random, 17, 63, 4, true);
+  expect_sampled_sibling_streams(random, 17, 63, 40, false);
+}
+
+TEST(SingleFlipTableTest, OrderAndParentChangesMidStream) {
+  // Each round streams the siblings of a path with two isolated vertices
+  // appended, then of the bare path, whose prefix rows are the first rows
+  // of the cached ones (a table that kept them would read stale lanes),
+  // then of the cycle one link away, then of the path again. The rounds
+  // change the order across the 16/17 block boundary both ways.
+  single_flip_table reused;
+  const auto siblings = [&](const graph& parent) {
+    const int k = parent.order();
+    for (const std::uint64_t attached :
+         {low_bits(k), bit(0) | bit(k - 1), bit(k - 1), bit(k / 2)}) {
+      feed(reused, child_of(parent, attached), true);
+    }
+  };
+  for (const int k : {6, 14, 15, 16, 30, 6}) {
+    const graph bare = path_graph(k);
+    siblings(bare.with_vertex().with_vertex());
+    siblings(bare);
+    graph cycle = bare;
+    cycle.add_edge(0, k - 1);
+    siblings(cycle);
+    siblings(bare);
+  }
 }
 
 }  // namespace
