@@ -296,13 +296,15 @@ std::pair<verdict, verdict> check_gallery() {
                            std::to_string(convexity.min_deletion_increase);
                   });
     if (!convexity.convex) continue;
-    const proper_window range = proper_equilibrium_window(entry.g);
-    const double probe = std::isinf(range.hi) ? range.lo + 1 : range.hi;
+    const stability_interval range = proper_equilibrium_window(entry.g);
+    const double probe =
+        std::isinf(range.alpha_max) ? range.alpha_min + 1 : range.alpha_max;
     proper.check(
         range.nonempty() && is_proper_equilibrium_certified(entry.g, probe),
         [&] {
-          return entry.name + ": proper window (" + fmt_alpha(range.lo) +
-                 ", " + fmt_alpha(range.hi) + "]";
+          return entry.name + ": proper window (" +
+                 fmt_alpha(range.alpha_min) + ", " +
+                 fmt_alpha(range.alpha_max) + "]";
         });
   }
   return {std::move(windows), std::move(proper)};

@@ -90,6 +90,10 @@ std::size_t select_move(const std::vector<pairwise_move>& moves,
 
 }  // namespace
 
+// Keeps its own toggled copies instead of reading the single-flip table:
+// the dynamics run on disconnected graphs (they start from the empty
+// network) and compare lexicographic (unreachable, alpha*deg + distance)
+// double costs, which the table does not measure.
 std::vector<pairwise_move> improving_moves(const graph& g, double alpha) {
   expects(alpha > 0, "improving_moves: requires alpha > 0");
   std::vector<pairwise_move> moves;

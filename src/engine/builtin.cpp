@@ -321,7 +321,7 @@ class quickstart_scenario final : public scenario {
     for (const auto& [name, g] : {std::pair<const char*, graph>{"star", hub},
                                   {"cycle", ring},
                                   {"complete", clique}}) {
-      const stability_interval window = compute_stability_interval(g);
+      const stability_interval window = compute_stability_record(g).interval();
       ctx.out << name << ": stable for alpha in ("
               << fmt_alpha(window.alpha_min) << ", "
               << fmt_alpha(window.alpha_max) << "]\n";

@@ -19,7 +19,9 @@ namespace bnf {
 /// Distance-cost increase to player i from severing every incident edge
 /// (i,w) with w in `bundle` (a neighbour mask). Returns infinite_delta if
 /// the removals disconnect i from anything it could previously reach.
-/// Requires bundle to contain only neighbours of i.
+/// Requires bundle to contain only neighbours of i. It measures
+/// multi-link bundles on a graph copy; the single-flip table
+/// (equilibria/pairwise_stability.hpp) holds single links only.
 [[nodiscard]] long long bundle_deletion_increase(const graph& g, int i,
                                                  std::uint64_t bundle);
 

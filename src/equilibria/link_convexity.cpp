@@ -3,26 +3,24 @@
 #include <algorithm>
 
 #include "equilibria/pairwise_stability.hpp"
-#include "graph/paths.hpp"
+#include "util/bitops.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
 
 link_convexity_result analyze_link_convexity(const graph& g) {
-  expects(is_connected(g), "analyze_link_convexity: requires connected graph");
+  single_flip_table flips;
+  measure_single_flips(g, flips);
+  expects(flips.connected, "analyze_link_convexity: requires connected graph");
   link_convexity_result result;
-  result.min_deletion_increase = infinite_delta;
-
-  for (const auto& [u, v] : g.non_edges()) {
-    result.max_addition_saving =
-        std::max({result.max_addition_saving, edge_addition_decrease(g, u, v),
-                  edge_addition_decrease(g, v, u)});
-  }
-  for (const auto& [u, v] : g.edges()) {
-    result.min_deletion_increase =
-        std::min({result.min_deletion_increase,
-                  edge_deletion_increase(g, u, v),
-                  edge_deletion_increase(g, v, u)});
+  // The table's alpha_max is already the smallest deletion increase
+  // (infinite_delta when every edge is a bridge).
+  result.min_deletion_increase = flips.alpha_max;
+  for (int a = 0; a < g.order(); ++a) {
+    for_each_bit(g.vertex_mask() & ~g.neighbors(a) & ~bit(a), [&](int b) {
+      result.max_addition_saving =
+          std::max(result.max_addition_saving, flips.at(a, b));
+    });
   }
   result.convex = result.max_addition_saving < result.min_deletion_increase;
   return result;

@@ -3,7 +3,9 @@
 // smallest distance increase any endpoint suffers from severing an
 // existing link. Per Lemma 2 / Proposition 2, a link-convex graph is
 // pairwise stable — and achievable as a proper equilibrium — for some
-// link cost alpha.
+// link cost alpha. Both quantities are reductions over one single-flip
+// table (equilibria/pairwise_stability.hpp); the deletion side is the
+// table's own alpha_max.
 //
 // The paper uses this to separate the Desargues graph (link convex) from
 // the dodecahedral graph (not link convex) despite both being symmetric

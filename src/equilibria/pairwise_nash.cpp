@@ -30,15 +30,10 @@ bool is_bcg_nash_supported(const graph& g, double alpha) {
 bool is_pairwise_nash(const graph& g, double alpha) {
   expects(alpha > 0, "is_pairwise_nash: requires alpha > 0");
   if (!is_bcg_nash_supported(g, alpha)) return false;
-  // No blocking pair: identical to the addition half of Definition 3.
-  for (const auto& [u, v] : g.non_edges()) {
-    const auto dec_u = static_cast<double>(edge_addition_decrease(g, u, v));
-    const auto dec_v = static_cast<double>(edge_addition_decrease(g, v, u));
-    const bool blocks = (dec_u > alpha && dec_v >= alpha) ||
-                        (dec_v > alpha && dec_u >= alpha);
-    if (blocks) return false;
-  }
-  return true;
+  // No blocking pair: the addition half of Definition 3.
+  single_flip_table flips;
+  measure_single_flips(g, flips);
+  return !find_blocking_pair(g, flips, alpha).has_value();
 }
 
 }  // namespace bnf

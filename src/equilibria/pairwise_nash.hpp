@@ -8,7 +8,9 @@
 //       they are strictly dominated); we therefore enumerate all subsets
 //       of a player's incident links.
 //   (b) no blocking pair: adding any missing link cannot strictly help one
-//       endpoint without strictly hurting the other.
+//       endpoint without strictly hurting the other. This is Definition
+//       3's addition half, read from the single-flip table
+//       (find_blocking_pair, equilibria/pairwise_stability.hpp).
 //
 // Proposition 1 states this coincides with pairwise stability; the tests
 // verify the equivalence exhaustively on small n.

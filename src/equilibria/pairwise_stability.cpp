@@ -12,25 +12,6 @@
 
 namespace bnf {
 
-long long edge_deletion_increase(const graph& g, int u, int v) {
-  expects(g.has_edge(u, v), "edge_deletion_increase: (u,v) must be an edge");
-  const distance_summary before = distance_sum(g, u);
-  const graph cut = g.without_edge(u, v);
-  const distance_summary after = distance_sum(cut, u);
-  if (after.unreached > before.unreached) return infinite_delta;
-  return after.sum - before.sum;
-}
-
-long long edge_addition_decrease(const graph& g, int u, int v) {
-  expects(u != v && !g.has_edge(u, v),
-          "edge_addition_decrease: (u,v) must be a non-edge");
-  const distance_summary before = distance_sum(g, u);
-  const graph joined = g.with_edge(u, v);
-  const distance_summary after = distance_sum(joined, u);
-  if (before.unreached > after.unreached) return infinite_delta;
-  return before.sum - after.sum;
-}
-
 long long single_flip_table::distance_total() const {
   long long total = 0;
   for (const long long sum : base) total += sum;
@@ -280,10 +261,6 @@ stability_record compute_stability_record(const graph& g,
           flips.boundary_stable};
 }
 
-stability_interval compute_stability_interval(const graph& g) {
-  return compute_stability_record(g).interval();
-}
-
 alpha_interval to_alpha_interval(const stability_record& record) {
   alpha_interval window;
   window.lo = rational::from_int(static_cast<long long>(record.alpha_min));
@@ -323,27 +300,38 @@ std::string stability_violation::describe() const {
 std::optional<stability_violation> find_stability_violation(const graph& g,
                                                             double alpha) {
   expects(alpha > 0, "find_stability_violation: requires alpha > 0");
-  if (!is_connected(g)) {
+  single_flip_table flips;
+  measure_single_flips(g, flips);
+  if (!flips.connected) {
     return stability_violation{stability_violation::kind::disconnected, -1,
                                -1};
   }
   // Severance: an endpoint strictly gains iff alpha > increase. An
   // infinite increase (bridge) is never worth severing at any alpha.
+  const auto severs = [&](int u, int v) {
+    const long long increase = flips.at(u, v);
+    return increase < infinite_delta && static_cast<double>(increase) < alpha;
+  };
   for (const auto& [u, v] : g.edges()) {
-    const long long inc_u = edge_deletion_increase(g, u, v);
-    if (inc_u < infinite_delta && static_cast<double>(inc_u) < alpha) {
+    if (severs(u, v)) {
       return stability_violation{stability_violation::kind::severance, u, v};
     }
-    const long long inc_v = edge_deletion_increase(g, v, u);
-    if (inc_v < infinite_delta && static_cast<double>(inc_v) < alpha) {
+    if (severs(v, u)) {
       return stability_violation{stability_violation::kind::severance, v, u};
     }
   }
-  // Addition: blocks iff one endpoint strictly gains (dec > alpha) and the
-  // other does not strictly lose (dec >= alpha).
+  return find_blocking_pair(g, flips, alpha);
+}
+
+std::optional<stability_violation> find_blocking_pair(
+    const graph& g, const single_flip_table& flips, double alpha) {
+  expects(flips.connected && flips.n == g.order(),
+          "find_blocking_pair: requires g's connected flip table");
+  // Blocks iff one endpoint strictly gains (dec > alpha) and the other
+  // does not strictly lose (dec >= alpha).
   for (const auto& [u, v] : g.non_edges()) {
-    const auto dec_u = static_cast<double>(edge_addition_decrease(g, u, v));
-    const auto dec_v = static_cast<double>(edge_addition_decrease(g, v, u));
+    const auto dec_u = static_cast<double>(flips.at(u, v));
+    const auto dec_v = static_cast<double>(flips.at(v, u));
     const bool blocks = (dec_u > alpha && dec_v >= alpha) ||
                         (dec_v > alpha && dec_u >= alpha);
     if (blocks) {

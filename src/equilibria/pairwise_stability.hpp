@@ -52,8 +52,11 @@ using distance_block = std::uint8_t __attribute__((vector_size(16)));
 /// a stream of siblings, graphs that differ only in the last vertex's
 /// links, pays for its prefix once. The stability record's alpha_min,
 /// alpha_max and boundary flag are accumulated in the same sweep.
-/// Shared by the BCG stability record, the distance total and the UCG
-/// region search's root window and seeds.
+/// The one measurement of single-link deltas: every BCG predicate reduces
+/// over it (the stability record and find_stability_violation, the
+/// transfer window, link convexity and the proper window, pairwise Nash's
+/// blocking pairs), and so do the distance total and the UCG region
+/// search's root window and seeds.
 struct single_flip_table {
   int n{0};
   /// False when some vertex does not reach every other; the deltas and
@@ -61,9 +64,9 @@ struct single_flip_table {
   bool connected{true};
   /// base[v] = sum_j d(v, j) over the vertices v reaches.
   std::vector<long long> base;
-  /// delta[a * n + b], a != b: edge_deletion_increase(g, a, b) when (a, b)
-  /// is an edge (infinite_delta on a bridge), edge_addition_decrease(g, a,
-  /// b) otherwise.
+  /// delta[a * n + b], a != b: when (a, b) is an edge, the increase of
+  /// a's sum from deleting it (infinite_delta on a bridge); otherwise the
+  /// saving to a's sum from adding it.
   std::vector<long long> delta;
   /// The stability record (compute_stability_record): the largest
   /// least-interested saving over missing links, the smallest finite
@@ -92,19 +95,9 @@ struct single_flip_table {
 /// Measure g's table into `table`, reusing its storage.
 void measure_single_flips(const graph& g, single_flip_table& table);
 
-/// Distance-cost increase to endpoint u from severing edge (u,v):
-///   sum_j d(u,j)(G - uv) - sum_j d(u,j)(G).
-/// Returns infinite_delta if the removal disconnects u from v's side.
-/// Requires (u,v) in E.
-[[nodiscard]] long long edge_deletion_increase(const graph& g, int u, int v);
-
-/// Distance-cost saving to endpoint u from adding edge (u,v):
-///   sum_j d(u,j)(G) - sum_j d(u,j)(G + uv).
-/// Returns infinite_delta if u and v lie in different components.
-/// Requires (u,v) not in E.
-[[nodiscard]] long long edge_addition_decrease(const graph& g, int u, int v);
-
-/// The Lemma 2 stability window. Stable iff alpha_min < alpha <= alpha_max.
+/// A window (alpha_min, alpha_max] of link costs: the Lemma 2 stability
+/// window, the transfer window (equilibria/transfers.hpp) and the
+/// Proposition 2 proper window (equilibria/proper.hpp).
 struct stability_interval {
   double alpha_min{0.0};
   double alpha_max{0.0};  // +infinity when no deletion binds (e.g. trees)
@@ -114,11 +107,6 @@ struct stability_interval {
     return alpha > 0 && alpha > alpha_min && alpha <= alpha_max;
   }
 };
-
-/// Compute the stability window of a connected graph. Requires connected g
-/// (disconnected graphs are never pairwise stable against bridging adds;
-/// see is_pairwise_stable).
-[[nodiscard]] stability_interval compute_stability_interval(const graph& g);
 
 /// Exact per-alpha stability predicate derived from one pass over the
 /// graph. Definition 3 deviates from the open Lemma-2 interval in one
@@ -170,8 +158,16 @@ struct stability_violation {
   [[nodiscard]] std::string describe() const;
 };
 
-/// First violation found, or nullopt if pairwise stable.
+/// First violation found, or nullopt if pairwise stable: a severance in
+/// g.edges() order (the lower endpoint first), else a blocking pair.
 [[nodiscard]] std::optional<stability_violation> find_stability_violation(
     const graph& g, double alpha);
+
+/// Definition 3's addition half, read from g's measured (connected) table:
+/// the first missing link, in g.non_edges() order, that one endpoint
+/// strictly gains from (saving > alpha) while the other does not strictly
+/// lose (saving >= alpha). It is also Definition 2's blocking pair.
+[[nodiscard]] std::optional<stability_violation> find_blocking_pair(
+    const graph& g, const single_flip_table& flips, double alpha);
 
 }  // namespace bnf

@@ -4,7 +4,6 @@
 
 #include "equilibria/link_convexity.hpp"
 #include "equilibria/pairwise_nash.hpp"
-#include "equilibria/pairwise_stability.hpp"
 #include "graph/paths.hpp"
 #include "util/contracts.hpp"
 
@@ -13,15 +12,9 @@ namespace bnf {
 bool all_missing_links_strictly_unprofitable(const graph& g, double alpha) {
   expects(alpha > 0,
           "all_missing_links_strictly_unprofitable: requires alpha > 0");
-  for (const auto& [u, v] : g.non_edges()) {
-    if (static_cast<double>(edge_addition_decrease(g, u, v)) >= alpha) {
-      return false;
-    }
-    if (static_cast<double>(edge_addition_decrease(g, v, u)) >= alpha) {
-      return false;
-    }
-  }
-  return true;
+  return is_connected(g) &&
+         static_cast<double>(analyze_link_convexity(g).max_addition_saving) <
+             alpha;
 }
 
 bool is_proper_equilibrium_certified(const graph& g, double alpha) {
@@ -30,15 +23,12 @@ bool is_proper_equilibrium_certified(const graph& g, double alpha) {
          all_missing_links_strictly_unprofitable(g, alpha);
 }
 
-proper_window proper_equilibrium_window(const graph& g) {
-  expects(is_connected(g), "proper_equilibrium_window: requires connected");
+stability_interval proper_equilibrium_window(const graph& g) {
   const link_convexity_result convexity = analyze_link_convexity(g);
-  proper_window window;
-  window.lo = static_cast<double>(convexity.max_addition_saving);
-  window.hi = convexity.min_deletion_increase >= infinite_delta
-                  ? std::numeric_limits<double>::infinity()
-                  : static_cast<double>(convexity.min_deletion_increase);
-  return window;
+  return {static_cast<double>(convexity.max_addition_saving),
+          convexity.min_deletion_increase >= infinite_delta
+              ? std::numeric_limits<double>::infinity()
+              : static_cast<double>(convexity.min_deletion_increase)};
 }
 
 }  // namespace bnf

@@ -10,15 +10,19 @@
 // Proposition 2 then follows: a link-convex graph admits a window of link
 // costs (max addition saving, min deletion increase] where it is pairwise
 // stable AND all missing links are strictly unprofitable, hence
-// achievable as a proper equilibrium.
+// achievable as a proper equilibrium. Both the premise and the window are
+// read from link convexity's reduction over the single-flip table
+// (equilibria/link_convexity.hpp).
 #pragma once
 
+#include "equilibria/pairwise_stability.hpp"
 #include "graph/graph.hpp"
 
 namespace bnf {
 
 /// Lemma 3 premise: every missing link strictly hurts both endpoints at
-/// this alpha (their distance saving is strictly below alpha).
+/// this alpha, i.e. link convexity's max_addition_saving < alpha. False on
+/// a disconnected graph (a link across components saves infinitely much).
 [[nodiscard]] bool all_missing_links_strictly_unprofitable(const graph& g,
                                                            double alpha);
 
@@ -27,16 +31,9 @@ namespace bnf {
 [[nodiscard]] bool is_proper_equilibrium_certified(const graph& g,
                                                    double alpha);
 
-/// Proposition 2 window: the (lo, hi] range of link costs for which the
-/// graph is certified proper; empty (lo >= hi) iff not link convex.
-struct proper_window {
-  double lo{0.0};
-  double hi{0.0};
-  [[nodiscard]] bool nonempty() const { return lo < hi; }
-  [[nodiscard]] bool contains(double alpha) const {
-    return alpha > lo && alpha <= hi;
-  }
-};
-[[nodiscard]] proper_window proper_equilibrium_window(const graph& g);
+/// Proposition 2 window: (max addition saving, min deletion increase], the
+/// link costs for which the graph is certified proper; empty iff not link
+/// convex (equilibria/link_convexity.hpp). Requires connected g.
+[[nodiscard]] stability_interval proper_equilibrium_window(const graph& g);
 
 }  // namespace bnf

@@ -9,20 +9,20 @@
 namespace bnf {
 
 stability_interval compute_transfer_stability_interval(const graph& g) {
-  expects(is_connected(g),
+  single_flip_table flips;
+  measure_single_flips(g, flips);
+  expects(flips.connected,
           "compute_transfer_stability_interval: requires connected graph");
   stability_interval interval{0.0, std::numeric_limits<double>::infinity()};
-
   for (const auto& [u, v] : g.non_edges()) {
-    const long long dec_u = edge_addition_decrease(g, u, v);
-    const long long dec_v = edge_addition_decrease(g, v, u);
     // The pair adds the link iff joint surplus dec_u + dec_v > 2*alpha.
     interval.alpha_min = std::max(
-        interval.alpha_min, static_cast<double>(dec_u + dec_v) / 2.0);
+        interval.alpha_min,
+        static_cast<double>(flips.at(u, v) + flips.at(v, u)) / 2.0);
   }
   for (const auto& [u, v] : g.edges()) {
-    const long long inc_u = edge_deletion_increase(g, u, v);
-    const long long inc_v = edge_deletion_increase(g, v, u);
+    const long long inc_u = flips.at(u, v);
+    const long long inc_v = flips.at(v, u);
     if (inc_u >= infinite_delta || inc_v >= infinite_delta) continue;
     // The pair keeps the link iff joint loss inc_u + inc_v >= 2*alpha.
     interval.alpha_max = std::min(interval.alpha_max,

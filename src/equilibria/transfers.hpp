@@ -13,9 +13,14 @@
 //   - for every missing (u,v):   dec_u + dec_v <= 2*alpha
 //     (no pair can split a positive surplus from adding the link).
 //
+// inc and dec are the single-flip table's entries
+// (equilibria/pairwise_stability.hpp), so the window is one reduction over
+// one table, like the plain stability record.
+//
 // Transfers enlarge the set of sustainable links exactly where the plain
 // BCG breaks: edges valued asymmetrically by their endpoints. The
-// bench/ablation shows how this shifts the stable set and its PoA.
+// transfers-ablation scenario shows how this shifts the stable set and
+// its PoA.
 #pragma once
 
 #include "equilibria/pairwise_stability.hpp"

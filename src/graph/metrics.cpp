@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/paths.hpp"
 #include "util/bitops.hpp"
 #include "util/contracts.hpp"
 
@@ -23,33 +22,6 @@ std::optional<int> regular_degree(const graph& g) {
     if (g.degree(v) != k) return std::nullopt;
   }
   return k;
-}
-
-std::optional<srg_params> strongly_regular_params(const graph& g) {
-  const int n = g.order();
-  if (n < 2) return std::nullopt;
-  const auto k = regular_degree(g);
-  if (!k) return std::nullopt;
-  if (*k == 0 || *k == n - 1) return std::nullopt;  // edgeless / complete
-
-  int lambda = -1;
-  int mu = -1;
-  for (int u = 0; u < n; ++u) {
-    for (int v = u + 1; v < n; ++v) {
-      const int common = popcount(g.neighbors(u) & g.neighbors(v));
-      if (g.has_edge(u, v)) {
-        if (lambda < 0) lambda = common;
-        if (common != lambda) return std::nullopt;
-      } else {
-        if (mu < 0) mu = common;
-        if (common != mu) return std::nullopt;
-      }
-    }
-  }
-  // A k-regular graph with 0 < k < n-1 always has both adjacent and
-  // non-adjacent pairs, so both parameters were observed.
-  ensures(lambda >= 0 && mu >= 0, "strongly_regular_params: missing pairs");
-  return srg_params{n, *k, lambda, mu};
 }
 
 bool is_bipartite(const graph& g) {
@@ -94,14 +66,6 @@ long long moore_bound(int k, int diameter) {
     layer *= (k - 1);
   }
   return bound;
-}
-
-bool is_moore_graph(const graph& g) {
-  const auto k = regular_degree(g);
-  if (!k || *k < 1) return false;
-  const int d = diameter(g);
-  if (d == unreachable_distance) return false;
-  return g.order() == moore_bound(*k, d);
 }
 
 long long cage_lower_bound(int k, int girth) {

@@ -1,6 +1,6 @@
 // Structural metrics used to classify the paper's stable-graph gallery:
-// regularity, strong regularity (SRG parameters), bipartiteness, and the
-// Moore bound that drives the Ω(log α) lower-bound construction (Prop 3).
+// regularity, bipartiteness, and the Moore bound that drives the
+// Ω(log α) lower-bound construction (Prop 3).
 #pragma once
 
 #include <optional>
@@ -16,19 +16,6 @@ namespace bnf {
 /// If every vertex has the same degree k, returns k; otherwise nullopt.
 [[nodiscard]] std::optional<int> regular_degree(const graph& g);
 
-/// Strongly regular graph parameters (n, k, lambda, mu):
-/// k-regular, adjacent pairs have lambda common neighbours, non-adjacent
-/// pairs have mu common neighbours. Following convention, the complete and
-/// edgeless graphs are excluded. Returns nullopt if not strongly regular.
-struct srg_params {
-  int n{};
-  int k{};
-  int lambda{};
-  int mu{};
-  friend bool operator==(const srg_params&, const srg_params&) = default;
-};
-[[nodiscard]] std::optional<srg_params> strongly_regular_params(const graph& g);
-
 /// Two-colourability test.
 [[nodiscard]] bool is_bipartite(const graph& g);
 
@@ -39,9 +26,6 @@ struct srg_params {
 ///   1 + k * sum_{i=0}^{D-1} (k-1)^i.
 /// Graphs meeting it exactly are Moore graphs (Petersen, Hoffman–Singleton).
 [[nodiscard]] long long moore_bound(int k, int diameter);
-
-/// True iff g is k-regular with diameter D and meets the Moore bound.
-[[nodiscard]] bool is_moore_graph(const graph& g);
 
 /// Moore bound for girth (cage lower bound): the minimum order of a
 /// k-regular graph with girth g.

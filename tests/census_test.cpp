@@ -17,10 +17,13 @@
 #include "gen/enumerate.hpp"
 #include "gen/named.hpp"
 #include "graph/paths.hpp"
+#include "testing.hpp"
 #include "util/contracts.hpp"
 
 namespace bnf {
 namespace {
+
+using testing::definition3_stable;
 
 TEST(CensusTest, CheapLinksOnlyCompleteIsStable) {
   // Strictly below both crossovers (alpha_BCG = 0.45, alpha_UCG = 0.9):
@@ -37,7 +40,9 @@ TEST(CensusTest, CheapLinksOnlyCompleteIsStable) {
 }
 
 TEST(CensusTest, BcgCountsMatchDirectEnumeration) {
-  // Cross-check the census pipeline against per-graph Definition 3 checks.
+  // Cross-check the census pipeline against per-graph Definition 3 checks
+  // by the graph-copying oracle, which shares no code with the census's
+  // single-flip table.
   const std::array<double, 3> taus{3.0, 6.0, 16.0};
   const auto points = census_sweep(6, taus);
   for (std::size_t t = 0; t < taus.size(); ++t) {
@@ -46,7 +51,7 @@ TEST(CensusTest, BcgCountsMatchDirectEnumeration) {
     for_each_graph(
         6,
         [&](const graph& g) {
-          if (is_pairwise_stable(g, alpha)) ++direct;
+          if (definition3_stable(g, alpha)) ++direct;
         },
         {.connected_only = true});
     EXPECT_EQ(points[t].bcg.count, direct) << "tau=" << taus[t];
@@ -127,7 +132,7 @@ TEST(CensusTest, ProfilesMatchSweepCounts) {
     long long from_profiles = 0;
     for (const auto& [g, profile] : all) {
       const bool stable = profile.bcg_interval.contains(alpha);
-      EXPECT_EQ(stable, is_pairwise_stable(g, alpha)) << to_string(g);
+      EXPECT_EQ(stable, definition3_stable(g, alpha)) << to_string(g);
       if (stable) ++from_profiles;
     }
     EXPECT_EQ(points[t].bcg.count, from_profiles);
@@ -149,7 +154,7 @@ TEST(CensusTest, ProfilesCarryBothGamesExactIntervals) {
     // The BCG interval reproduces the per-alpha stability check.
     for (const double alpha : {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 16.0}) {
       EXPECT_EQ(profile.bcg_interval.contains(alpha),
-                is_pairwise_stable(g, alpha))
+                definition3_stable(g, alpha))
           << to_string(g) << " alpha=" << alpha;
     }
     // The UCG region matches its point queries.
@@ -175,7 +180,7 @@ TEST(CensusTest, DefaultGridCountsMatchBruteForceAfterEpsRemoval) {
       for_each_graph(
           n,
           [&](const graph& g) {
-            if (is_pairwise_stable(g, taus[t] / 2.0)) ++bcg_direct;
+            if (definition3_stable(g, taus[t] / 2.0)) ++bcg_direct;
             if (is_ucg_nash(g, taus[t])) ++ucg_direct;
           },
           {.connected_only = true});

@@ -18,7 +18,7 @@ TEST(ConvexityTest, BundleIncreaseMatchesSingleDeltaOnSingletons) {
   const graph g = cycle(6);
   for (const auto& [u, v] : g.edges()) {
     EXPECT_EQ(bundle_deletion_increase(g, u, bit(v)),
-              edge_deletion_increase(g, u, v));
+              testing::edge_deletion_increase(g, u, v));
   }
 }
 

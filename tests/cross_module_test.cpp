@@ -77,7 +77,7 @@ TEST(CrossModuleTest, CensusAveragesMatchManualAggregation) {
   for_each_graph(
       n,
       [&](const graph& g) {
-        if (!is_pairwise_stable(g, tau / 2.0)) return;
+        if (!testing::definition3_stable(g, tau / 2.0)) return;
         ++count;
         poa_sum += price_of_anarchy(g, game);
         edges_sum += g.size();

@@ -14,6 +14,7 @@
 #include "gen/named.hpp"
 #include "graph/metrics.hpp"
 #include "graph/paths.hpp"
+#include "testing.hpp"
 
 namespace bnf {
 namespace {
@@ -54,10 +55,17 @@ TEST_P(GalleryWindowSuite, WindowAgreesWithDirectChecks) {
 }
 
 TEST_P(GalleryWindowSuite, ProperWindowMatchesConvexityDeltas) {
+  // Against the graph-copying Definition 6 oracle: the table's rows span
+  // one to four byte blocks on these graphs.
   const auto& c = GetParam();
-  const auto convexity = analyze_link_convexity(c.g);
+  const auto convexity = testing::definition6(c.g);
+  const auto table = analyze_link_convexity(c.g);
+  EXPECT_EQ(table.max_addition_saving, convexity.max_addition_saving)
+      << c.name;
+  EXPECT_EQ(table.min_deletion_increase, convexity.min_deletion_increase)
+      << c.name;
   const auto window = proper_equilibrium_window(c.g);
-  EXPECT_DOUBLE_EQ(window.lo,
+  EXPECT_DOUBLE_EQ(window.alpha_min,
                    static_cast<double>(convexity.max_addition_saving))
       << c.name;
   EXPECT_EQ(window.nonempty(), c.link_convex) << c.name;
@@ -104,7 +112,7 @@ TEST(GalleryWindowsTest, TransferWindowsOnGallery) {
   // for every named graph; vertex-transitive graphs with symmetric-value
   // links keep the same alpha_max structure.
   for (const graph& g : {petersen(), heawood(), clebsch(), star(8)}) {
-    const auto plain = compute_stability_interval(g);
+    const auto plain = compute_stability_record(g).interval();
     const auto joint = compute_transfer_stability_interval(g);
     EXPECT_LE(plain.alpha_min, joint.alpha_min + 1e-12) << to_string(g);
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "equilibria/pairwise_stability.hpp"
+#include "gen/enumerate.hpp"
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "testing.hpp"
@@ -75,9 +76,26 @@ TEST(LinkConvexityTest, CompleteGraphVacuouslyConvex) {
   EXPECT_EQ(result.min_deletion_increase, 1);
 }
 
+TEST(LinkConvexityTest, MatchesTheGraphCopyingOracleOnEveryClassUpToN7) {
+  for (int n = 2; n <= 7; ++n) {
+    for_each_graph(
+        n,
+        [](const graph& g) {
+          const auto got = analyze_link_convexity(g);
+          const auto want = testing::definition6(g);
+          EXPECT_EQ(got.max_addition_saving, want.max_addition_saving)
+              << to_string(g);
+          EXPECT_EQ(got.min_deletion_increase, want.min_deletion_increase)
+              << to_string(g);
+          EXPECT_EQ(got.convex, want.convex) << to_string(g);
+        },
+        {.connected_only = true});
+  }
+}
+
 TEST(LinkConvexityTest, LinkConvexityImpliesNonemptyWindow) {
-  // Lemma 2: a link-convex graph is pairwise stable for some alpha, and
-  // the window endpoints bracket Definition 6's quantities.
+  // Lemma 2: a link-convex graph is pairwise stable (by the graph-copying
+  // Definition 3 oracle) on (max addition saving, min deletion increase].
   rng random = testing::seeded_rng();
   int convex_seen = 0;
   for (int trial = 0; trial < 300; ++trial) {
@@ -88,10 +106,11 @@ TEST(LinkConvexityTest, LinkConvexityImpliesNonemptyWindow) {
     const auto convexity = analyze_link_convexity(g);
     if (!convexity.convex) continue;
     ++convex_seen;
-    const auto interval = compute_stability_interval(g);
-    EXPECT_TRUE(interval.nonempty()) << to_string(g);
-    EXPECT_LE(interval.alpha_min,
-              static_cast<double>(convexity.max_addition_saving));
+    const double top =
+        convexity.min_deletion_increase < infinite_delta
+            ? static_cast<double>(convexity.min_deletion_increase)
+            : static_cast<double>(convexity.max_addition_saving) + 1.0;
+    EXPECT_TRUE(testing::definition3_stable(g, top)) << to_string(g);
   }
   EXPECT_GT(convex_seen, 10);  // the property test actually exercised cases
 }

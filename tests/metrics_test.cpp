@@ -24,32 +24,6 @@ TEST(MetricsTest, RegularDegree) {
   EXPECT_FALSE(regular_degree(graph(0)).has_value());
 }
 
-TEST(MetricsTest, StronglyRegularGallery) {
-  // The paper's Figure 1 parameters.
-  EXPECT_EQ(strongly_regular_params(petersen()), (srg_params{10, 3, 0, 1}));
-  EXPECT_EQ(strongly_regular_params(octahedron()), (srg_params{6, 4, 2, 4}));
-  EXPECT_EQ(strongly_regular_params(clebsch()), (srg_params{16, 5, 0, 2}));
-  EXPECT_EQ(strongly_regular_params(hoffman_singleton()),
-            (srg_params{50, 7, 0, 1}));
-}
-
-TEST(MetricsTest, StronglyRegularPaley) {
-  EXPECT_EQ(strongly_regular_params(paley(13)), (srg_params{13, 6, 2, 3}));
-  EXPECT_EQ(strongly_regular_params(paley(17)), (srg_params{17, 8, 3, 4}));
-}
-
-TEST(MetricsTest, NotStronglyRegular) {
-  EXPECT_FALSE(strongly_regular_params(star(5)).has_value());
-  EXPECT_FALSE(strongly_regular_params(cycle(6)).has_value());
-  EXPECT_FALSE(strongly_regular_params(complete(4)).has_value());  // excluded
-  EXPECT_FALSE(strongly_regular_params(graph(5)).has_value());     // edgeless
-  EXPECT_FALSE(strongly_regular_params(mcgee()).has_value());
-}
-
-TEST(MetricsTest, CycleC5IsStronglyRegular) {
-  EXPECT_EQ(strongly_regular_params(cycle(5)), (srg_params{5, 2, 0, 1}));
-}
-
 TEST(MetricsTest, Bipartiteness) {
   EXPECT_TRUE(is_bipartite(path(6)));
   EXPECT_TRUE(is_bipartite(cycle(8)));
@@ -76,16 +50,6 @@ TEST(MetricsTest, MooreBoundValues) {
   EXPECT_EQ(moore_bound(7, 2), 50);   // Hoffman–Singleton meets it
   EXPECT_EQ(moore_bound(2, 3), 7);    // C7 meets it (cycle)
   EXPECT_EQ(moore_bound(3, 1), 4);    // K4
-}
-
-TEST(MetricsTest, MooreGraphDetection) {
-  EXPECT_TRUE(is_moore_graph(petersen()));
-  EXPECT_TRUE(is_moore_graph(hoffman_singleton()));
-  EXPECT_TRUE(is_moore_graph(complete(4)));  // D=1 Moore graphs are K_n
-  EXPECT_TRUE(is_moore_graph(cycle(7)));     // odd cycles are k=2 Moore
-  EXPECT_FALSE(is_moore_graph(mcgee()));
-  EXPECT_FALSE(is_moore_graph(star(5)));
-  EXPECT_FALSE(is_moore_graph(testing::hypercube(3)));
 }
 
 TEST(MetricsTest, CageLowerBounds) {

@@ -21,6 +21,10 @@
 namespace bnf {
 namespace {
 
+using testing::definition3_stable;
+using testing::edge_addition_decrease;
+using testing::edge_deletion_increase;
+
 TEST(PairwiseStabilityTest, DeletionIncreaseOnCycle) {
   // C5: severing an edge turns the endpoint's distance profile from
   // {1,1,2,2} (sum 6) into the path profile {1,2,3,4} (sum 10).
@@ -54,7 +58,7 @@ TEST(PairwiseStabilityTest, DeltaPreconditions) {
 TEST(PairwiseStabilityTest, Lemma4CompleteGraphWindow) {
   // Lemma 4: for alpha < 1 the complete graph is pairwise stable (and it
   // remains so exactly up to alpha = 1).
-  const auto interval = compute_stability_interval(complete(6));
+  const auto interval = compute_stability_record(complete(6)).interval();
   EXPECT_DOUBLE_EQ(interval.alpha_min, 0.0);
   EXPECT_DOUBLE_EQ(interval.alpha_max, 1.0);
   EXPECT_TRUE(is_pairwise_stable(complete(6), 0.5));
@@ -81,7 +85,7 @@ TEST(PairwiseStabilityTest, Lemma4UniquenessBelowOne) {
 
 TEST(PairwiseStabilityTest, Lemma5StarStableButNotUnique) {
   // Star: stable for every alpha > 1 (window (1, inf]).
-  const auto interval = compute_stability_interval(star(8));
+  const auto interval = compute_stability_record(star(8)).interval();
   EXPECT_DOUBLE_EQ(interval.alpha_min, 1.0);
   EXPECT_TRUE(std::isinf(interval.alpha_max));
   EXPECT_TRUE(is_pairwise_stable(star(8), 1.5));
@@ -98,23 +102,26 @@ TEST(PairwiseStabilityTest, TreesStableForLargeAlpha) {
   rng random = testing::seeded_rng();
   for (int trial = 0; trial < 20; ++trial) {
     const graph t = random_tree(8, random);
-    const auto interval = compute_stability_interval(t);
+    const auto interval = compute_stability_record(t).interval();
     EXPECT_TRUE(std::isinf(interval.alpha_max)) << to_string(t);
-    EXPECT_TRUE(is_pairwise_stable(t, interval.alpha_min + 1.0));
+    EXPECT_TRUE(definition3_stable(t, interval.alpha_min + 1.0));
   }
 }
 
 TEST(PairwiseStabilityTest, IntervalMatchesDirectCheckExhaustively) {
-  // Property: the stability_record predicate agrees with the literal
-  // Definition 3 check on every connected graph on 6 vertices across a
-  // grid that includes integer boundary cases.
+  // Property: the stability_record predicate and is_pairwise_stable agree
+  // with the graph-copying Definition 3 oracle on every connected graph on
+  // 6 vertices across a grid that includes integer boundary cases.
   const double alphas[] = {0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 12.0};
   for_each_graph(
       6,
       [&](const graph& g) {
         const stability_record record = compute_stability_record(g);
         for (const double alpha : alphas) {
-          ASSERT_EQ(record.stable_at(alpha), is_pairwise_stable(g, alpha))
+          const bool stable = definition3_stable(g, alpha);
+          ASSERT_EQ(record.stable_at(alpha), stable)
+              << to_string(g) << " alpha=" << alpha;
+          ASSERT_EQ(is_pairwise_stable(g, alpha), stable)
               << to_string(g) << " alpha=" << alpha;
         }
       },
@@ -253,14 +260,15 @@ TEST(PairwiseStabilityTest, PaperGalleryGraphsAreStableSomewhere) {
 }
 
 TEST(PairwiseStabilityTest, PetersenWindow) {
-  const auto interval = compute_stability_interval(petersen());
+  const auto interval = compute_stability_record(petersen()).interval();
   EXPECT_DOUBLE_EQ(interval.alpha_min, 1.0);
   EXPECT_DOUBLE_EQ(interval.alpha_max, 5.0);
   EXPECT_TRUE(is_pairwise_stable(petersen(), 3.0));
 }
 
 TEST(PairwiseStabilityTest, HoffmanSingletonWindow) {
-  const auto interval = compute_stability_interval(hoffman_singleton());
+  const auto interval =
+      compute_stability_record(hoffman_singleton()).interval();
   EXPECT_DOUBLE_EQ(interval.alpha_min, 1.0);
   EXPECT_DOUBLE_EQ(interval.alpha_max, 9.0);
 }
@@ -268,13 +276,14 @@ TEST(PairwiseStabilityTest, HoffmanSingletonWindow) {
 class CycleWindowSuite : public ::testing::TestWithParam<int> {};
 
 TEST_P(CycleWindowSuite, Lemma6MeasuredWindowsAreExact) {
-  // Exact windows for cycles, verified against per-alpha Definition 3
-  // checks just inside/outside the window. (The paper's closed forms match
-  // for even n; for odd n the measured alpha_max is (n-1)^2/4, not
-  // (n+1)(n-1)/4 — the Lemma 6 row of tests/data/paper_claims_n7.csv.)
+  // Exact windows for cycles, verified against the graph-copying
+  // Definition 3 oracle just inside/outside the window. (The paper's
+  // closed forms match for even n; for odd n the measured alpha_max is
+  // (n-1)^2/4, not (n+1)(n-1)/4 — the Lemma 6 row of
+  // tests/data/paper_claims_n7.csv.)
   const int n = GetParam();
   const graph g = cycle(n);
-  const auto interval = compute_stability_interval(g);
+  const auto interval = compute_stability_record(g).interval();
   ASSERT_TRUE(interval.nonempty());
 
   if (n % 2 == 1) {
@@ -289,10 +298,10 @@ TEST_P(CycleWindowSuite, Lemma6MeasuredWindowsAreExact) {
   }
 
   const double inside = (interval.alpha_min + interval.alpha_max) / 2.0;
-  EXPECT_TRUE(is_pairwise_stable(g, inside));
-  EXPECT_FALSE(is_pairwise_stable(g, interval.alpha_max + 0.5));
+  EXPECT_TRUE(definition3_stable(g, inside));
+  EXPECT_FALSE(definition3_stable(g, interval.alpha_max + 0.5));
   if (interval.alpha_min > 0.5) {
-    EXPECT_FALSE(is_pairwise_stable(g, interval.alpha_min - 0.5));
+    EXPECT_FALSE(definition3_stable(g, interval.alpha_min - 0.5));
   }
 }
 
@@ -479,7 +488,7 @@ TEST(SingleFlipTableTest, RecordFromTheTableMatchesTheDefinition) {
     measure_single_flips(g, flips);
     const stability_record record = compute_stability_record(g, flips);
     for (const double alpha : {0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 9.0}) {
-      EXPECT_EQ(record.stable_at(alpha), is_pairwise_stable(g, alpha))
+      EXPECT_EQ(record.stable_at(alpha), definition3_stable(g, alpha))
           << to_string(g) << " alpha=" << alpha;
     }
   }

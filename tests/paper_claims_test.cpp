@@ -33,8 +33,8 @@ TEST(PaperClaimsTest, ConjectureCounterexampleAtSixPlayers) {
   // BCG — where 0 must pay its own share — it severs. No tie involved:
   // the gap is the whole interval inc_0 = 2 < alpha < 3 = inc_5.
   const graph g(6, {{0, 2}, {0, 4}, {0, 5}, {1, 3}, {1, 4}, {1, 5}, {2, 3}});
-  EXPECT_EQ(edge_deletion_increase(g, 0, 5), 2);
-  EXPECT_EQ(edge_deletion_increase(g, 5, 0), 3);
+  EXPECT_EQ(testing::edge_deletion_increase(g, 0, 5), 2);
+  EXPECT_EQ(testing::edge_deletion_increase(g, 5, 0), 3);
   EXPECT_TRUE(is_ucg_nash(g, 2.6));
   EXPECT_FALSE(is_pairwise_stable(g, 2.6));
   // A knife-edge variant of the same phenomenon at alpha = 2 exactly:

@@ -20,6 +20,9 @@
 namespace bnf {
 namespace {
 
+using testing::definition3_stable;
+using testing::edge_addition_decrease;
+using testing::edge_deletion_increase;
 using testing::random_connected;
 
 TEST(StabilityPropertyTest, AdditionAndDeletionAreInverse) {
@@ -89,29 +92,22 @@ TEST(StabilityPropertyTest, BundleIncreaseIsMonotone) {
 }
 
 TEST(StabilityPropertyTest, ViolationWitnessIsConsistent) {
-  // Whenever find_stability_violation reports a move, applying it must
-  // actually improve the named player (Definition 3 semantics).
+  // find_stability_violation reads the single-flip table; its answer and
+  // its first witness must be the graph-copying oracle's, so the witness
+  // names a move that actually improves the named player (Definition 3).
   rng random = testing::seeded_rng();
   int witnessed = 0;
   for (int trial = 0; trial < 120; ++trial) {
     const graph g = random_connected(random, 4, 9);
     const double alpha = 0.5 + 6.0 * random.uniform_real();
     const auto violation = find_stability_violation(g, alpha);
-    ASSERT_EQ(violation.has_value(), !is_pairwise_stable(g, alpha));
+    const auto expected = testing::definition3_violation(g, alpha);
+    ASSERT_EQ(violation.has_value(), expected.has_value()) << to_string(g);
     if (!violation) continue;
     ++witnessed;
-    if (violation->type == stability_violation::kind::severance) {
-      // The named endpoint strictly gains: alpha > its increase.
-      ASSERT_GT(alpha, static_cast<double>(edge_deletion_increase(
-                           g, violation->u, violation->v)));
-    } else if (violation->type == stability_violation::kind::addition) {
-      const auto dec_u = static_cast<double>(
-          edge_addition_decrease(g, violation->u, violation->v));
-      const auto dec_v = static_cast<double>(
-          edge_addition_decrease(g, violation->v, violation->u));
-      ASSERT_TRUE((dec_u > alpha && dec_v >= alpha) ||
-                  (dec_v > alpha && dec_u >= alpha));
-    }
+    ASSERT_EQ(violation->type, expected->type) << to_string(g);
+    ASSERT_EQ(violation->u, expected->u) << to_string(g);
+    ASSERT_EQ(violation->v, expected->v) << to_string(g);
   }
   EXPECT_GT(witnessed, 20);
 }
@@ -143,7 +139,7 @@ TEST(StabilityPropertyTest, EveryConnectedGraphStableSomewhereOrNowhere) {
                                record.stable_at(record.alpha_min);
         bool found = false;
         for (double alpha = 0.25; alpha <= 40.0 && !found; alpha += 0.25) {
-          found = is_pairwise_stable(g, alpha);
+          found = definition3_stable(g, alpha);
         }
         ASSERT_EQ(somewhere, found) << to_string(g);
       },
@@ -156,7 +152,7 @@ TEST(StabilityPropertyTest, GirthBoundsCycleWindow) {
   // most ... (sanity link between girth and severance deltas on cycles).
   for (int n = 5; n <= 16; ++n) {
     const graph g = cycle(n);
-    const auto interval = compute_stability_interval(g);
+    const auto interval = compute_stability_record(g).interval();
     // Severing turns distance 1 into n-1 for the endpoint: increase
     // includes at least (n-2).
     EXPECT_GE(interval.alpha_max, static_cast<double>(n - 2));

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -17,6 +18,7 @@
 
 #include "analysis/poa_curve.hpp"
 #include "engine/registry.hpp"
+#include "equilibria/link_convexity.hpp"
 #include "equilibria/pairwise_stability.hpp"
 #include "equilibria/ucg_nash.hpp"
 #include "game/connection_game.hpp"
@@ -25,7 +27,9 @@
 #include "gen/named.hpp"
 #include "gen/random.hpp"
 #include "graph/graph.hpp"
+#include "graph/paths.hpp"
 #include "util/bitops.hpp"
+#include "util/contracts.hpp"
 #include "util/file_io.hpp"
 #include "util/rational.hpp"
 #include "util/rng.hpp"
@@ -128,6 +132,91 @@ inline graph random_connected(rng& random, int lo_n = 4, int hi_n = 10) {
   return random_connected_gnm(n, m, random);
 }
 
+/// Distance-cost increase to endpoint u from severing edge (u,v):
+///   sum_j d(u,j)(G - uv) - sum_j d(u,j)(G),
+/// measured the direct way, on a copy of g with one BFS from u before and
+/// after. Returns infinite_delta if the removal disconnects u from v's
+/// side. Requires (u,v) in E. With edge_addition_decrease below, the
+/// Definition-3 oracle: it shares no code with the single-flip table's
+/// rows or its row-replacement BFS.
+inline long long edge_deletion_increase(const graph& g, int u, int v) {
+  expects(g.has_edge(u, v), "edge_deletion_increase: (u,v) must be an edge");
+  const distance_summary before = distance_sum(g, u);
+  const distance_summary after = distance_sum(g.without_edge(u, v), u);
+  if (after.unreached > before.unreached) return infinite_delta;
+  return after.sum - before.sum;
+}
+
+/// Distance-cost saving to endpoint u from adding edge (u,v):
+///   sum_j d(u,j)(G) - sum_j d(u,j)(G + uv),
+/// on a copy of g. Returns infinite_delta if u and v lie in different
+/// components. Requires (u,v) not in E.
+inline long long edge_addition_decrease(const graph& g, int u, int v) {
+  expects(u != v && !g.has_edge(u, v),
+          "edge_addition_decrease: (u,v) must be a non-edge");
+  const distance_summary before = distance_sum(g, u);
+  const distance_summary after = distance_sum(g.with_edge(u, v), u);
+  if (before.unreached > after.unreached) return infinite_delta;
+  return before.sum - after.sum;
+}
+
+/// Definition 3 from the oracle deltas alone: the first severance that
+/// strictly helps an endpoint, in g.edges() order with the lower endpoint
+/// first, else the first missing link, in g.non_edges() order, that
+/// strictly helps one endpoint while weakly helping the other; nullopt
+/// when g is pairwise stable. That is find_stability_violation's scan
+/// order, so the two name the same witness.
+inline std::optional<stability_violation> definition3_violation(
+    const graph& g, double alpha) {
+  using kind = stability_violation::kind;
+  if (!is_connected(g)) return stability_violation{kind::disconnected};
+  const auto severs = [&](int x, int y) {
+    const long long increase = edge_deletion_increase(g, x, y);
+    return increase < infinite_delta && static_cast<double>(increase) < alpha;
+  };
+  for (const auto& [u, v] : g.edges()) {
+    if (severs(u, v)) return stability_violation{kind::severance, u, v};
+    if (severs(v, u)) return stability_violation{kind::severance, v, u};
+  }
+  for (const auto& [u, v] : g.non_edges()) {
+    const auto dec_u = static_cast<double>(edge_addition_decrease(g, u, v));
+    const auto dec_v = static_cast<double>(edge_addition_decrease(g, v, u));
+    if ((dec_u > alpha && dec_v >= alpha) ||
+        (dec_v > alpha && dec_u >= alpha)) {
+      return stability_violation{kind::addition, u, v};
+    }
+  }
+  return std::nullopt;
+}
+
+/// The independent side of every test that checks the single-flip table,
+/// the stability record or a census count against Definition 3.
+inline bool definition3_stable(const graph& g, double alpha) {
+  return !definition3_violation(g, alpha).has_value();
+}
+
+/// Definition 6 from the oracle deltas alone: the largest addition saving
+/// and the smallest deletion increase (infinite_delta when every edge is a
+/// bridge) over both endpoints of every link of a connected graph.
+inline link_convexity_result definition6(const graph& g) {
+  link_convexity_result result;
+  result.min_deletion_increase = infinite_delta;
+  for (int a = 0; a < g.order(); ++a) {
+    for (int b = 0; b < g.order(); ++b) {
+      if (a == b) continue;
+      if (g.has_edge(a, b)) {
+        result.min_deletion_increase = std::min(
+            result.min_deletion_increase, edge_deletion_increase(g, a, b));
+      } else {
+        result.max_addition_saving = std::max(
+            result.max_addition_saving, edge_addition_decrease(g, a, b));
+      }
+    }
+  }
+  result.convex = result.max_addition_saving < result.min_deletion_increase;
+  return result;
+}
+
 /// One game's equilibrium-set statistics at one link cost, recomputed from
 /// scratch by naive_census_row.
 struct naive_set_stats {
@@ -145,11 +234,12 @@ struct naive_row {
 
 /// The census at total edge cost tau, the slow way: walk every connected
 /// topology, decide membership with the per-alpha predicates
-/// (is_pairwise_stable at tau / 2, is_ucg_nash at tau), and average the
-/// literal per-topology PoA social_cost / optimal_social_cost. It shares
-/// no code with the census kernel or its accumulator, so agreement with
-/// stream_poa_curve rows is independent evidence. Exact only where tau is
-/// a double, which is why callers use it on such rows only.
+/// (definition3_stable at tau / 2, is_ucg_nash at tau), and average the
+/// literal per-topology PoA social_cost / optimal_social_cost. Its BCG side
+/// shares no code with the census kernel, its single-flip table or its
+/// accumulator, so agreement with stream_poa_curve rows is independent
+/// evidence. Exact only where tau is a double, which is why callers use it
+/// on such rows only.
 inline naive_row naive_census_row(int n, double tau, bool include_ucg) {
   struct tally {
     long long count{0};
@@ -183,7 +273,7 @@ inline naive_row naive_census_row(int n, double tau, bool include_ucg) {
   for_each_graph(
       n,
       [&](const graph& g) {
-        if (is_pairwise_stable(g, tau / 2.0)) {
+        if (definition3_stable(g, tau / 2.0)) {
           bcg.add(social_cost(g, bcg_game).finite / bcg_opt, g.size());
         }
         if (include_ucg && is_ucg_nash(g, tau)) {

@@ -23,6 +23,7 @@
 #include "gen/named.hpp"
 #include "graph/graph.hpp"
 #include "graph/paths.hpp"
+#include "testing.hpp"
 #include "util/bitops.hpp"
 #include "util/rational.hpp"
 
@@ -121,8 +122,9 @@ TEST(ThresholdSemanticsTest, AsymmetricSavingsOpenTheAdditionBoundary) {
   // Exhaustive check of the ONE open case: wherever boundary_stable is
   // false some attaining link has asymmetric savings and the pair blocks
   // at exactly alpha_min; wherever it is true, ties never block. All
-  // three formulations (record, interval, Definition 3) must agree at
-  // the exact integer threshold.
+  // three formulations (record, interval, Definition 3 by the
+  // graph-copying oracle) must agree at the exact integer threshold, and
+  // find_stability_violation must name the oracle's blocking pair.
   long long open_cases = 0;
   long long closed_cases = 0;
   for (int n = 4; n <= 6; ++n) {
@@ -139,13 +141,18 @@ TEST(ThresholdSemanticsTest, AsymmetricSavingsOpenTheAdditionBoundary) {
           ASSERT_EQ(to_alpha_interval(record).contains(at_min),
                     record.boundary_stable)
               << to_string(g);
-          ASSERT_EQ(is_pairwise_stable(g, at_min), record.boundary_stable)
+          const auto expected = testing::definition3_violation(g, at_min);
+          ASSERT_EQ(!expected.has_value(), record.boundary_stable)
               << to_string(g);
           if (!record.boundary_stable) {
             const auto violation = find_stability_violation(g, at_min);
             ASSERT_TRUE(violation.has_value()) << to_string(g);
             ASSERT_EQ(violation->type, stability_violation::kind::addition)
                 << to_string(g);
+            ASSERT_EQ(expected->type, stability_violation::kind::addition)
+                << to_string(g);
+            ASSERT_EQ(violation->u, expected->u) << to_string(g);
+            ASSERT_EQ(violation->v, expected->v) << to_string(g);
           }
         },
         {.connected_only = true});
@@ -185,10 +192,11 @@ TEST(ThresholdSemanticsTest, BundleThresholdTiesDoNotBlockBcgNash) {
 }
 
 TEST(ThresholdSemanticsTest, BlockingPairConventionMatchesProposition1) {
-  // The blocking-pair test (dec_u > alpha && dec_v >= alpha) is shared by
-  // find_stability_violation and is_pairwise_nash; Proposition 1 says the
-  // two predicates coincide — including AT every exact integer threshold
-  // of every graph on n <= 5.
+  // The blocking-pair test (dec_u > alpha && dec_v >= alpha) is
+  // find_blocking_pair, shared by find_stability_violation and
+  // is_pairwise_nash; Proposition 1 says pairwise Nash coincides with
+  // Definition 3 (here the graph-copying oracle) — including AT every
+  // exact integer threshold of every graph on n <= 5.
   for (int n = 3; n <= 5; ++n) {
     for_each_graph(
         n,
@@ -197,7 +205,8 @@ TEST(ThresholdSemanticsTest, BlockingPairConventionMatchesProposition1) {
           for (double probe : {record.alpha_min, record.alpha_max,
                                record.alpha_min + 1.0}) {
             if (!(probe > 0) || std::isinf(probe)) continue;
-            ASSERT_EQ(is_pairwise_stable(g, probe), is_pairwise_nash(g, probe))
+            ASSERT_EQ(testing::definition3_stable(g, probe),
+                      is_pairwise_nash(g, probe))
                 << to_string(g) << " alpha=" << probe;
           }
         },

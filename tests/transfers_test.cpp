@@ -45,7 +45,7 @@ TEST(TransfersTest, TransfersCanAlsoDestabilize) {
   // would not. The broom tree below is plainly stable for alpha > 2 but
   // transfer-stable only for alpha > 2.5.
   const graph broom(6, {{0, 1}, {0, 3}, {0, 4}, {0, 5}, {1, 2}});
-  const auto plain = compute_stability_interval(broom);
+  const auto plain = compute_stability_record(broom).interval();
   const auto joint = compute_transfer_stability_interval(broom);
   EXPECT_DOUBLE_EQ(plain.alpha_min, 2.0);
   EXPECT_DOUBLE_EQ(joint.alpha_min, 2.5);
@@ -53,16 +53,40 @@ TEST(TransfersTest, TransfersCanAlsoDestabilize) {
   EXPECT_FALSE(is_transfer_stable(broom, 2.25));
 }
 
+/// The transfer definition from the graph-copying oracle deltas: every
+/// non-bridge link's joint loss covers 2 alpha, and no missing link's
+/// joint saving exceeds it.
+bool transfer_stable_by_definition(const graph& g, double alpha) {
+  for (const auto& [u, v] : g.edges()) {
+    const long long inc_u = testing::edge_deletion_increase(g, u, v);
+    const long long inc_v = testing::edge_deletion_increase(g, v, u);
+    if (inc_u < infinite_delta && inc_v < infinite_delta &&
+        static_cast<double>(inc_u + inc_v) < 2 * alpha) {
+      return false;
+    }
+  }
+  for (const auto& [u, v] : g.non_edges()) {
+    if (static_cast<double>(testing::edge_addition_decrease(g, u, v) +
+                            testing::edge_addition_decrease(g, v, u)) >
+        2 * alpha) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(TransfersTest, WindowsMatchDefinitionExhaustively) {
-  // Property: the interval predicts the per-alpha definition on every
-  // connected graph on 6 vertices (generic alphas, no ties).
+  // Property: the interval predicts the per-alpha definition, read from
+  // the graph-copying oracle, on every connected graph on 6 vertices
+  // (generic alphas, no ties).
   const double alphas[] = {0.7, 1.3, 2.6, 3.4, 5.3, 8.9};
   for_each_graph(
       6,
       [&](const graph& g) {
         const auto window = compute_transfer_stability_interval(g);
         for (const double alpha : alphas) {
-          ASSERT_EQ(window.contains(alpha), is_transfer_stable(g, alpha))
+          ASSERT_EQ(window.contains(alpha),
+                    transfer_stable_by_definition(g, alpha))
               << to_string(g) << " alpha=" << alpha;
         }
       },
@@ -77,7 +101,7 @@ TEST(TransfersTest, JointBoundsBracketPlainBounds) {
   for_each_graph(
       6,
       [&](const graph& g) {
-        const auto plain = compute_stability_interval(g);
+        const auto plain = compute_stability_record(g).interval();
         const auto joint = compute_transfer_stability_interval(g);
         ASSERT_LE(plain.alpha_min, joint.alpha_min + 1e-12) << to_string(g);
       },
